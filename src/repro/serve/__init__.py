@@ -13,7 +13,7 @@ Layout:
 
 * :mod:`repro.serve.protocol` — wire format, budget/model/result codecs;
 * :mod:`repro.serve.queue` — bounded admission + tenant policy;
-* :mod:`repro.serve.memo` — fingerprint-keyed full-result memo;
+* :mod:`repro.serve.memo` — request-digest-keyed memo of encoded results;
 * :mod:`repro.serve.exemplars` — bounded slow/failed request rings;
 * :mod:`repro.serve.server` — the asyncio daemon itself;
 * :mod:`repro.serve.client` — a synchronous client.

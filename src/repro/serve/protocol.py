@@ -36,10 +36,12 @@ requests over one connection:
 
 Errors are responses with ``"ok": false`` and an ``"error"`` string plus
 a machine-readable ``"code"`` (``bad-request``, ``queue-full``,
-``tenant-limit``, ``search-error``).  A line that does not parse as a
-JSON object is answered with ``bad-request`` and the connection stays
-usable — framing is per line, so one bad line cannot desynchronize the
-stream.
+``tenant-limit``, ``search-error``, ``too-large``).  A line that does not
+parse as a JSON object is answered with ``bad-request`` and the
+connection stays usable — framing is per line, so one bad line cannot
+desynchronize the stream.  A line longer than :data:`MAX_LINE_BYTES` is
+answered with ``too-large``, after which the daemon discards the rest of
+that line and closes the connection.
 """
 
 from __future__ import annotations
@@ -60,9 +62,11 @@ from repro.io.json_io import workflow_from_dict, workflow_to_dict
 
 __all__ = [
     "PROTOCOL_VERSION",
+    "MAX_LINE_BYTES",
     "OPS",
     "MODELS",
     "ProtocolError",
+    "canonical_json",
     "encode",
     "decode",
     "budget_from_dict",
@@ -74,6 +78,11 @@ __all__ = [
 ]
 
 PROTOCOL_VERSION = 1
+
+#: Longest request line the daemon reads, newline excluded.  A generated
+#: ``large`` workflow request is ~16 KB; a longer line is answered with
+#: ``too-large`` instead of being buffered.
+MAX_LINE_BYTES = 64 * 1024
 
 #: Every request op the daemon understands.
 OPS = (
@@ -111,15 +120,31 @@ class ProtocolError(ReproError):
     """A malformed or unanswerable request (maps to ``bad-request``)."""
 
 
-def encode(message: dict[str, Any]) -> bytes:
+def canonical_json(value: Any) -> str:
+    """Compact JSON text with sorted keys: equal values give equal text."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def encode(
+    message: dict[str, Any], raw: tuple[str, str] | None = None
+) -> bytes:
     """One wire line: compact JSON, sorted keys, newline-terminated.
 
     Sorted keys + compact separators make equal payloads byte-equal on
-    the wire, which is what the determinism tests compare.
+    the wire, which is what the determinism tests compare.  ``raw`` is
+    a ``(key, text)`` pair whose text is already :func:`canonical_json`;
+    it is spliced in verbatim as one more top-level key (absent from
+    ``message``), so the line equals ``encode`` of the message with the
+    decoded value under ``key`` — a memoized result is serialized once,
+    not once per reply.
     """
-    return (
-        json.dumps(message, sort_keys=True, separators=(",", ":")) + "\n"
-    ).encode("utf-8")
+    if raw is None:
+        return (canonical_json(message) + "\n").encode("utf-8")
+    key, text = raw
+    head = canonical_json({k: v for k, v in message.items() if k < key})
+    tail = canonical_json({k: v for k, v in message.items() if k > key})
+    pieces = (head[1:-1], f"{json.dumps(key)}:{text}", tail[1:-1])
+    return ("{" + ",".join(p for p in pieces if p) + "}\n").encode("utf-8")
 
 
 def decode(line: bytes | str) -> dict[str, Any]:
@@ -129,7 +154,7 @@ def decode(line: bytes | str) -> dict[str, Any]:
         line = line.decode("utf-8", errors="replace")
     try:
         message = json.loads(line)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ProtocolError(f"undecodable request line: {exc}") from None
     if not isinstance(message, dict):
         raise ProtocolError(

@@ -4,13 +4,16 @@ One long-lived process answers optimize requests for many tenants over a
 line-delimited JSON protocol (:mod:`repro.serve.protocol`) on TCP or a
 UNIX socket.  The architecture is two planes joined by a bounded queue:
 
-* the **asyncio plane** (one thread) accepts connections, parses and
+* the **asyncio plane** (one thread) accepts connections, decodes and
   admits requests (:mod:`repro.serve.queue`), probes the request-level
-  result memo (:mod:`repro.serve.memo`), and streams responses —
-  it never runs a search, so admission and memo hits stay fast no
-  matter how busy the workers are;
-* the **worker plane** (``workers`` threads) pulls admitted jobs and
-  runs them through :func:`~repro.core.search.parallel.run_search`, each
+  result memo (:mod:`repro.serve.memo`) on a digest of the request's
+  workflow document, and streams responses — it never parses a
+  workflow or runs a search, so admission and memo hits stay fast no
+  matter how busy the workers are; a memo hit's reply is the stored
+  result text spliced into a fresh envelope;
+* the **worker plane** (``workers`` threads) pulls admitted jobs, parses
+  and fingerprints their workflows, and runs them through
+  :func:`~repro.core.search.parallel.run_search`, each
   thread owning one long-lived
   :class:`~repro.core.search.parallel.WorkerPool` (processes fork once,
   not per request) and all threads sharing one
@@ -70,12 +73,20 @@ from repro.obs import (
     use_recorder,
 )
 from repro.serve.exemplars import DEFAULT_EXEMPLARS, ExemplarStore
-from repro.serve.memo import DEFAULT_CAPACITY, ResultMemo, memo_key
+from repro.serve.memo import (
+    DEFAULT_CAPACITY,
+    MemoEntry,
+    ResultMemo,
+    document_digest,
+    memo_key,
+)
 from repro.serve.protocol import (
+    MAX_LINE_BYTES,
     PROTOCOL_VERSION,
     ProtocolError,
     budget_from_dict,
     budget_to_dict,
+    canonical_json,
     decode,
     encode,
     model_key,
@@ -130,11 +141,30 @@ class ServeConfig:
     exemplar_capacity: int = DEFAULT_EXEMPLARS
 
 
+async def _skip_line(reader: asyncio.StreamReader) -> None:
+    """Discard input through the next newline (or EOF), holding at most
+    one ``MAX_LINE_BYTES`` buffer of it at a time."""
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.IncompleteReadError:
+            return
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)
+
+
 class _Connection:
-    """Per-connection outbound state: one writer task drains ``out``."""
+    """Per-connection outbound state: one writer task drains ``out``.
+
+    ``out`` carries messages to encode, already-encoded lines, or the
+    ``None`` that stops the writer.
+    """
 
     def __init__(self) -> None:
-        self.out: asyncio.Queue[dict[str, Any] | None] = asyncio.Queue()
+        self.out: asyncio.Queue[dict[str, Any] | bytes | None] = (
+            asyncio.Queue()
+        )
         self.outstanding = 0
         self.drained = asyncio.Event()
         self.drained.set()
@@ -194,12 +224,17 @@ class OptimizerServer:
             self._threads.append(thread)
         if self.config.unix_socket:
             self._server = await asyncio.start_unix_server(
-                self._handle_connection, path=self.config.unix_socket
+                self._handle_connection,
+                path=self.config.unix_socket,
+                limit=MAX_LINE_BYTES,
             )
             self.address = self.config.unix_socket
         else:
             self._server = await asyncio.start_server(
-                self._handle_connection, self.config.host, self.config.port
+                self._handle_connection,
+                self.config.host,
+                self.config.port,
+                limit=MAX_LINE_BYTES,
             )
             sock = self._server.sockets[0]
             self.address = sock.getsockname()[:2]
@@ -287,7 +322,22 @@ class OptimizerServer:
         )
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    line = exc.partial  # EOF ends an unterminated line
+                except asyncio.LimitOverrunError:
+                    self._count_request("invalid")
+                    conn.out.put_nowait(
+                        {
+                            "ok": False,
+                            "code": "too-large",
+                            "error": "request line exceeds "
+                            f"{MAX_LINE_BYTES} bytes",
+                        }
+                    )
+                    await _skip_line(reader)
+                    break
                 if not line:
                     break
                 if not line.strip():
@@ -313,7 +363,9 @@ class OptimizerServer:
                 message = await conn.out.get()
                 if message is None:
                     break
-                writer.write(encode(message))
+                writer.write(
+                    message if isinstance(message, bytes) else encode(message)
+                )
                 await writer.drain()
         except (ConnectionError, BrokenPipeError):
             pass  # the client went away; workers still settle the counter
@@ -384,7 +436,8 @@ class OptimizerServer:
         accepted_at = time.monotonic()
         self._count_request("optimize")
         try:
-            workflow = workflow_from_request(message.get("workflow"))
+            document = message.get("workflow")
+            digest = document_digest(document)
             requested = budget_from_dict(message.get("budget"))
             algorithm = str(message.get("algorithm", "heuristic")).lower()
             if algorithm not in ALGORITHMS:
@@ -411,11 +464,8 @@ class OptimizerServer:
                 self._tenant_requests.get(tenant, 0) + 1
             )
         effective = self.queue.policy.clamp(requested, self.config.max_jobs)
-        fingerprint = workflow_fingerprint(workflow)
         canonical = ALGORITHMS[algorithm].__name__.removesuffix("_search")
-        key = memo_key(
-            fingerprint, model_key(model_name), canonical, effective
-        )
+        key = memo_key(digest, model_key(model_name), canonical, effective)
         trace_id = new_trace_id()
         lookup_started = time.monotonic()
         cached = self.memo.get(key)
@@ -426,22 +476,25 @@ class OptimizerServer:
             self.recorder.counter("serve.memo", outcome="hit").add()
             if stream:
                 conn.out.put_nowait(
-                    {"id": rid, "event": "memo-hit", "fingerprint": fingerprint}
+                    {
+                        "id": rid,
+                        "event": "memo-hit",
+                        "fingerprint": cached.fingerprint,
+                    }
                 )
             latency = time.monotonic() - accepted_at
             self.recorder.histogram("serve.request_latency_seconds").observe(
                 latency
             )
             conn.out.put_nowait(
-                self._envelope(
+                self._reply(
                     rid,
                     cached,
                     served_from="memo",
                     # The whole request was one cache lookup: the memo hit
                     # itself plus whatever transposition hits the original
                     # run reported.
-                    cache_hits=cached["cache_hits"] + 1,
-                    fingerprint=fingerprint,
+                    cache_hits=cached.cache_hits + 1,
                     effective=effective,
                     latency=latency,
                     trace_id=trace_id,
@@ -453,8 +506,8 @@ class OptimizerServer:
         loop = self._loop
         assert loop is not None
 
-        def deliver(envelope: dict[str, Any]) -> None:
-            loop.call_soon_threadsafe(self._deliver_cb, conn, envelope)
+        def deliver(message: dict[str, Any] | bytes) -> None:
+            loop.call_soon_threadsafe(self._deliver_cb, conn, message)
 
         def emit(event: dict[str, Any]) -> None:
             if stream:
@@ -466,12 +519,11 @@ class OptimizerServer:
             tenant=tenant,
             payload={
                 "id": rid,
-                "workflow": workflow,
+                "document": document,
                 "budget": effective,
                 "algorithm": algorithm,
                 "model": model_name,
                 "memo_key": key,
-                "fingerprint": fingerprint,
                 "stream": stream,
                 "accepted_at": accepted_at,
                 "trace": trace_id,
@@ -492,40 +544,38 @@ class OptimizerServer:
             return
         if stream:
             conn.out.put_nowait(
-                {
-                    "id": rid,
-                    "event": "queued",
-                    "depth": self.queue.depth(),
-                    "fingerprint": fingerprint,
-                }
+                {"id": rid, "event": "queued", "depth": self.queue.depth()}
             )
 
-    def _deliver_cb(self, conn: _Connection, envelope: dict[str, Any]) -> None:
-        conn.out.put_nowait(envelope)
+    def _deliver_cb(
+        self, conn: _Connection, message: dict[str, Any] | bytes
+    ) -> None:
+        conn.out.put_nowait(message)
         conn.settle()
 
-    def _envelope(
+    def _reply(
         self,
         rid: Any,
-        payload: dict[str, Any],
+        entry: MemoEntry,
         served_from: str,
         cache_hits: int,
-        fingerprint: str,
         effective: SearchBudget,
         latency: float,
-        trace_id: str | None = None,
-    ) -> dict[str, Any]:
-        return {
+        trace_id: str,
+    ) -> bytes:
+        """The success envelope, with the entry's stored result text
+        spliced in as ``result`` (byte-equal to encoding it as a dict)."""
+        envelope = {
             "id": rid,
             "ok": True,
             "served_from": served_from,
             "cache_hits": cache_hits,
-            "fingerprint": fingerprint,
+            "fingerprint": entry.fingerprint,
             "budget": budget_to_dict(effective),
             "latency_seconds": latency,
             "trace_id": trace_id,
-            "result": payload,
         }
+        return encode(envelope, ("result", entry.text))
 
     # -- worker plane -----------------------------------------------------------
 
@@ -548,10 +598,10 @@ class OptimizerServer:
     def _execute(self, job: Job, pool: WorkerPool) -> None:
         payload = job.payload
         emit: Callable[[dict[str, Any]], None] = payload["emit"]
-        deliver: Callable[[dict[str, Any]], None] = payload["deliver"]
+        deliver: Callable[[dict[str, Any] | bytes], None]
+        deliver = payload["deliver"]
         trace_id: str = payload["trace"]
         queued_seconds = time.monotonic() - job.enqueued_at
-        emit({"event": "started", "queued_seconds": queued_seconds})
         local = Recorder()
         if payload["stream"]:
 
@@ -568,7 +618,7 @@ class OptimizerServer:
 
             local.on_span = forward
         budget: SearchBudget = payload["budget"]
-        search_started = time.monotonic()
+        fingerprint: str | None = None
         try:
             with use_recorder(local), local.trace(trace_id):
                 with local.span(
@@ -577,14 +627,35 @@ class OptimizerServer:
                     tenant=job.tenant,
                 ):
                     local.record_span("serve.queue_wait", queued_seconds)
+                    with local.span("serve.parse"):
+                        workflow = workflow_from_request(payload["document"])
+                        fingerprint = workflow_fingerprint(workflow)
+                    emit(
+                        {
+                            "event": "started",
+                            "queued_seconds": queued_seconds,
+                            "fingerprint": fingerprint,
+                        }
+                    )
+                    search_started = time.monotonic()
                     with local.span("serve.search"):
                         result = run_search(
                             payload["algorithm"],
-                            payload["workflow"],
+                            workflow,
                             model=resolve_model(payload["model"]),
                             budget=replace(budget, cache=self.cache),
                             pool=pool if budget.resolved_jobs() > 1 else None,
                         )
+        except ProtocolError as exc:  # the workflow document did not parse
+            deliver(
+                {
+                    "id": payload["id"],
+                    "ok": False,
+                    "code": "bad-request",
+                    "error": str(exc),
+                }
+            )
+            return
         except Exception as exc:  # a search bug must answer, not hang
             latency = time.monotonic() - payload["accepted_at"]
             self.recorder.counter("serve.errors").add()
@@ -596,6 +667,7 @@ class OptimizerServer:
                     payload,
                     job,
                     events,
+                    fingerprint=fingerprint,
                     latency=latency,
                     queued_seconds=queued_seconds,
                     ok=False,
@@ -615,8 +687,13 @@ class OptimizerServer:
             )
             return
         search_seconds = time.monotonic() - search_started
-        serialized = result_to_dict(result)
-        self.memo.put(payload["memo_key"], serialized)
+        assert fingerprint is not None
+        entry = MemoEntry(
+            canonical_json(result_to_dict(result)),
+            fingerprint,
+            result.cache_hits,
+        )
+        self.memo.put(payload["memo_key"], entry)
         latency = time.monotonic() - payload["accepted_at"]
         events = local.events()
         self.recorder.absorb(events)
@@ -626,18 +703,18 @@ class OptimizerServer:
                 payload,
                 job,
                 events,
+                fingerprint=fingerprint,
                 latency=latency,
                 queued_seconds=queued_seconds,
                 ok=True,
             )
         )
         deliver(
-            self._envelope(
+            self._reply(
                 payload["id"],
-                serialized,
+                entry,
                 served_from="search",
-                cache_hits=serialized["cache_hits"],
-                fingerprint=payload["fingerprint"],
+                cache_hits=entry.cache_hits,
                 effective=budget,
                 latency=latency,
                 trace_id=trace_id,
@@ -666,6 +743,7 @@ class OptimizerServer:
         payload: dict[str, Any],
         job: Job,
         events: list[dict[str, Any]],
+        fingerprint: str | None,
         latency: float,
         queued_seconds: float,
         ok: bool,
@@ -676,7 +754,7 @@ class OptimizerServer:
             "trace_id": payload["trace"],
             "tenant": job.tenant,
             "algorithm": payload["algorithm"],
-            "fingerprint": payload["fingerprint"],
+            "fingerprint": fingerprint,
             "budget": budget_to_dict(payload["budget"]),
             "served_from": "search",
             "ok": ok,
@@ -772,7 +850,14 @@ class OptimizerServer:
             events.append(
                 gauge("serve.tenant_inflight", inflight, tenant=tenant)
             )
-        for key in ("entries", "capacity", "hits", "misses", "hit_rate"):
+        for key in (
+            "entries",
+            "capacity",
+            "bytes",
+            "hits",
+            "misses",
+            "hit_rate",
+        ):
             events.append(gauge(f"serve.memo_{key}", memo_stats[key]))
         transposition_total = self.cache.hits + self.cache.misses
         events.append(gauge("serve.transposition_hits", self.cache.hits))

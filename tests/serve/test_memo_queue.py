@@ -7,7 +7,8 @@ import threading
 import pytest
 
 from repro import SearchBudget
-from repro.serve.memo import ResultMemo, memo_key
+from repro.serve.memo import MemoEntry, ResultMemo, document_digest, memo_key
+from repro.serve.protocol import ProtocolError
 from repro.serve.queue import AdmissionError, Job, JobQueue, TenantPolicy
 
 
@@ -53,34 +54,69 @@ class TestMemoKey:
         )
 
 
+def _entry(text: str) -> MemoEntry:
+    return MemoEntry(text, fingerprint="fp", cache_hits=0)
+
+
+class TestDocumentDigest:
+    def test_key_order_is_ignored_but_values_and_list_order_count(self):
+        base = {"nodes": [1, 2], "selectivity": 0.5}
+        assert document_digest(base) == document_digest(
+            {"selectivity": 0.5, "nodes": [1, 2]}
+        )
+        assert document_digest(base) != document_digest(
+            {"nodes": [1, 2], "selectivity": 0.25}
+        )
+        assert document_digest(base) != document_digest(
+            {"nodes": [2, 1], "selectivity": 0.5}
+        )
+
+    def test_too_deep_a_document_is_a_protocol_error(self):
+        nested: list = []
+        for _ in range(5000):
+            nested = [nested]
+        with pytest.raises(ProtocolError):
+            document_digest(nested)
+
+
 class TestResultMemo:
     def test_get_put_and_stats(self):
         memo = ResultMemo(capacity=4)
         assert memo.get("k") is None
-        memo.put("k", {"best_cost": 1.0})
-        assert memo.get("k") == {"best_cost": 1.0}
+        memo.put("k", _entry('{"best_cost":1.0}'))
+        assert memo.get("k") == _entry('{"best_cost":1.0}')
         stats = memo.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["hit_rate"] == 0.5
 
     def test_lru_eviction(self):
         memo = ResultMemo(capacity=2)
-        memo.put("a", {"v": 1})
-        memo.put("b", {"v": 2})
+        memo.put("a", _entry('{"v":1}'))
+        memo.put("b", _entry('{"v":2}'))
         memo.get("a")  # bump a most-recently-used
-        memo.put("c", {"v": 3})  # evicts b, not a
+        memo.put("c", _entry('{"v":3}'))  # evicts b, not a
         assert memo.get("b") is None
-        assert memo.get("a") == {"v": 1}
-        assert memo.get("c") == {"v": 3}
+        assert memo.get("a") == _entry('{"v":1}')
+        assert memo.get("c") == _entry('{"v":3}')
         assert len(memo) == 2
 
     def test_first_write_wins(self):
         # A racing double-compute produced the same deterministic value;
         # the incumbent stays.
         memo = ResultMemo(capacity=2)
-        memo.put("k", {"v": "first"})
-        memo.put("k", {"v": "second"})
-        assert memo.get("k") == {"v": "first"}
+        memo.put("k", _entry('{"v":"first"}'))
+        memo.put("k", _entry('{"v":"second"}'))
+        assert memo.get("k") == _entry('{"v":"first"}')
+
+    def test_bytes_track_stored_text_through_eviction(self):
+        memo = ResultMemo(capacity=2)
+        assert memo.stats()["bytes"] == 0
+        memo.put("a", _entry("x" * 10))
+        memo.put("b", _entry("y" * 20))
+        memo.put("b", _entry("z" * 99))  # first write wins: no change
+        assert memo.stats()["bytes"] == 30
+        memo.put("c", _entry("w" * 5))  # evicts a
+        assert memo.stats()["bytes"] == 25
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from repro.serve.protocol import (
     ProtocolError,
     budget_from_dict,
     budget_to_dict,
+    canonical_json,
     decode,
     encode,
     model_key,
@@ -35,6 +36,22 @@ class TestFraming:
         assert a == b
         assert b" " not in a
 
+    @pytest.mark.parametrize(
+        "message",
+        [
+            {"id": 1, "ok": True, "served_from": "memo"},  # around the key
+            {"a": 1, "b": [2]},  # every key sorts before it
+            {"z": None},  # every key sorts after it
+            {},  # only the spliced key
+        ],
+    )
+    def test_spliced_text_encodes_like_the_decoded_value(self, message):
+        value = {"best_cost": 1.5, "lineage": [{"step": 1}], "jobs": 1}
+        text = canonical_json(value)
+        assert encode(message, ("result", text)) == encode(
+            {**message, "result": json.loads(text)}
+        )
+
     def test_round_trip(self):
         message = {"op": "optimize", "id": 3, "budget": {"max_states": 10}}
         assert decode(encode(message)) == message
@@ -45,6 +62,10 @@ class TestFraming:
     def test_decode_rejects_garbage(self):
         with pytest.raises(ProtocolError, match="undecodable"):
             decode(b"not json\n")
+
+    def test_decode_rejects_too_deep_nesting(self):
+        with pytest.raises(ProtocolError, match="undecodable"):
+            decode(b"[" * 60_000 + b"\n")
 
     def test_decode_rejects_non_object(self):
         with pytest.raises(ProtocolError, match="JSON object"):

@@ -7,9 +7,12 @@ warm caches and memo change latency, never the answer.
 
 from __future__ import annotations
 
+import asyncio
+import json
 import socket
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -22,7 +25,14 @@ from repro.serve import (
     ServeError,
     TenantPolicy,
 )
-from repro.serve.protocol import decode, encode, result_to_dict
+from repro.serve import server as server_module
+from repro.serve.protocol import (
+    MAX_LINE_BYTES,
+    decode,
+    encode,
+    result_to_dict,
+)
+from repro.serve.server import _skip_line
 from repro.workloads import fig1_workflow, generate_workload
 
 BUDGET = {"max_states": 300}
@@ -87,6 +97,244 @@ class TestDeterminism:
         # jobs is excluded from the memo key: the second request hits.
         assert parallel["served_from"] == "memo"
         assert parallel["result"] == serial["result"]
+
+
+def _message(document, **overrides):
+    return {
+        "op": "optimize",
+        "id": 1,
+        "workflow": document,
+        "algorithm": "hs",
+        "budget": dict(BUDGET),
+        **overrides,
+    }
+
+
+def _send(address, message) -> bytes:
+    """One request on a fresh connection, encoded with its keys in the
+    order given; returns the final reply line's exact bytes."""
+    with socket.create_connection(address, timeout=60) as sock:
+        sock.sendall((json.dumps(message) + "\n").encode("utf-8"))
+        reader = sock.makefile("rb")
+        while True:
+            line = reader.readline()
+            assert line, "daemon closed the connection"
+            if "event" not in decode(line):
+                return line
+
+
+def _reversed_keys(value):
+    """The same JSON value with every object's keys in reverse order."""
+    if isinstance(value, dict):
+        return {key: _reversed_keys(value[key]) for key in reversed(value)}
+    if isinstance(value, list):
+        return [_reversed_keys(item) for item in value]
+    return value
+
+
+def _keyed_document():
+    return workflow_to_dict(_workflow(seed=11))
+
+
+def _node(document, node_id):
+    return next(n for n in document["nodes"] if n["id"] == node_id)
+
+
+def _change_selectivity(document):
+    _node(document, "9")["selectivity"] = 0.3
+
+
+def _rename_source_attribute(document):
+    for node_id in ("1", "4"):
+        node = _node(document, node_id)
+        node["schema"] = ["V4" if a == "V3" else a for a in node["schema"]]
+
+
+def _swap_selections(document):
+    # Relabel 9 <-> 10 in the wiring: 8 -> 9 -> 10 -> 11 becomes
+    # 8 -> 10 -> 9 -> 11.
+    swap = {"9": "10", "10": "9"}
+    for edge in document["edges"]:
+        for end in ("provider", "consumer"):
+            edge[end] = swap.get(edge[end], edge[end])
+
+
+def _with_document_change(change):
+    def variant(message):
+        change(message["workflow"])  # each test builds a fresh document
+        return message
+
+    return variant
+
+
+def _with(**fields):
+    return lambda message: {**message, **fields}
+
+
+def _with_budget(**knobs):
+    return lambda message: {**message, "budget": {**BUDGET, **knobs}}
+
+
+HITS = {
+    "id": _with(id="another"),
+    "tenant": _with(tenant="acme"),
+    "stream": _with(stream=True),
+    "jobs": _with_budget(jobs=2),
+    "key-order": lambda message: {
+        key: _reversed_keys(message[key]) for key in reversed(message)
+    },
+}
+
+MISSES = {
+    "selectivity": _with_document_change(_change_selectivity),
+    "schema-attribute": _with_document_change(_rename_source_attribute),
+    "wiring": _with_document_change(_swap_selections),
+    "model": _with(model="linear"),
+    "algorithm": _with(algorithm="hs-greedy"),
+    "max_states": _with_budget(max_states=BUDGET["max_states"] + 1),
+    "max_seconds": _with_budget(max_seconds=600.0),
+    "beam_width": _with_budget(beam_width=2),
+    "prune_dominated": _with_budget(prune_dominated=True),
+    "bound": _with_budget(bound=True),
+}
+
+
+class TestMemoKeying:
+    """The memo key is the workflow document's digest plus the outcome
+    knobs: request-only fields never split it, content always does."""
+
+    @pytest.fixture(scope="class")
+    def warm(self, server):
+        reply = decode(_send(server.address, _message(_keyed_document())))
+        assert reply["ok"], reply
+        return reply
+
+    @pytest.mark.parametrize("variant", list(HITS.values()), ids=list(HITS))
+    def test_request_only_differences_hit(self, server, warm, variant):
+        message = variant(_message(_keyed_document()))
+        reply = decode(_send(server.address, message))
+        assert reply["served_from"] == "memo"
+        assert reply["result"] == warm["result"]
+        assert reply["fingerprint"] == warm["fingerprint"]
+
+    @pytest.mark.parametrize(
+        "variant", list(MISSES.values()), ids=list(MISSES)
+    )
+    def test_content_and_outcome_knob_differences_miss(
+        self, server, warm, variant
+    ):
+        message = variant(_message(_keyed_document()))
+        reply = decode(_send(server.address, message))
+        assert reply["ok"], reply
+        assert reply["served_from"] == "search"
+
+
+class TestHitPath:
+    def test_a_hit_neither_parses_nor_fingerprints(self, server, monkeypatch):
+        calls: Counter = Counter()
+
+        def counting(name):
+            original = getattr(server_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("workflow_from_request", "workflow_fingerprint"):
+            monkeypatch.setattr(server_module, name, counting(name))
+        wf = _workflow(seed=12)
+        with server.client() as client:
+            cold = client.optimize(wf.copy(), "hs", budget=BUDGET)
+            after_cold = dict(calls)
+            warm = client.optimize(wf.copy(), "hs", budget=BUDGET)
+        assert cold["served_from"] == "search"
+        assert warm["served_from"] == "memo"
+        assert after_cold == {
+            "workflow_from_request": 1,
+            "workflow_fingerprint": 1,
+        }
+        assert dict(calls) == after_cold
+
+    def test_reply_bytes_equal_encode_of_the_dict_envelope(self, server):
+        message = _message(workflow_to_dict(_workflow(seed=13)))
+        cold = _send(server.address, message)
+        hit = _send(server.address, message)
+        assert decode(hit)["served_from"] == "memo"
+        fields = {k: v for k, v in decode(hit).items() if k != "result"}
+        assert hit == encode({**fields, "result": decode(cold)["result"]})
+        assert cold == encode(decode(cold))
+
+    @pytest.mark.parametrize(
+        "document, error",
+        [
+            (None, "optimize request needs a workflow object"),
+            (
+                {"format_version": 99, "nodes": [], "edges": []},
+                "invalid workflow document: unsupported workflow format "
+                "version 99 (expected 1)",
+            ),
+            (
+                {"format_version": 1, "nodes": [{"type": "recordset"}],
+                 "edges": []},
+                "invalid workflow document: 'id'",
+            ),
+        ],
+        ids=["missing", "bad-version", "bad-node"],
+    )
+    def test_malformed_workflow_is_a_bad_request(
+        self, server, document, error
+    ):
+        for _ in range(2):  # a failed parse is never memoized
+            reply = decode(_send(server.address, _message(document)))
+            assert reply["ok"] is False
+            assert reply["code"] == "bad-request"
+            assert reply["error"] == error
+
+
+class TestOversizedLines:
+    @pytest.mark.parametrize(
+        "size", [70 * 1024, 2 * 1024 * 1024], ids=["70KiB", "2MiB"]
+    )
+    def test_too_large_is_answered_then_the_connection_closes(
+        self, server, size
+    ):
+        with socket.create_connection(server.address, timeout=60) as sock:
+            sock.sendall(b"x" * size + b"\n")
+            reader = sock.makefile("rb")
+            reply = decode(reader.readline())
+            assert reply["ok"] is False
+            assert reply["code"] == "too-large"
+            assert reader.readline() == b""
+        with server.client() as client:
+            assert client.ping()
+
+    def test_a_line_within_the_limit_is_only_a_bad_request(self, server):
+        with server.client() as client:
+            client._socket.sendall(b"x" * MAX_LINE_BYTES + b"\n")
+            assert decode(client._reader.readline())["code"] == "bad-request"
+            assert client.ping()
+
+    @pytest.mark.parametrize(
+        "chunks",
+        [
+            [b"x" * 100 + b"\nnext\n"],  # newline already buffered
+            [b"x" * 100, b"y" * 50 + b"\nnext\n"],  # newline arrives later
+        ],
+        ids=["buffered", "streamed"],
+    )
+    def test_skip_line_discards_exactly_one_line(self, chunks):
+        async def remainder_after_skip() -> bytes:
+            reader = asyncio.StreamReader(limit=16)
+            loop = asyncio.get_running_loop()
+            for delay, chunk in enumerate(chunks):
+                loop.call_later(0.01 * delay, reader.feed_data, chunk)
+            loop.call_later(0.01 * len(chunks), reader.feed_eof)
+            await _skip_line(reader)
+            return await reader.read()
+
+        assert asyncio.run(remainder_after_skip()) == b"next\n"
 
 
 class TestMemoLatency:

@@ -115,3 +115,18 @@ class TestRenderPrometheus:
 
     def test_content_type_is_the_prometheus_text_version(self):
         assert CONTENT_TYPE.startswith("text/plain; version=0.0.4")
+
+    def test_server_exports_the_memo_size_next_to_the_memo_gauges(self):
+        from repro.core.search.transposition import TranspositionCache
+        from repro.serve.memo import MemoEntry
+        from repro.serve.server import OptimizerServer
+
+        server = OptimizerServer()
+        server.cache, _ = TranspositionCache.resolve(None)
+        server.memo.put("a", MemoEntry("x" * 40, "fp", 0))
+        server.memo.put("b", MemoEntry("y" * 2, "fp", 0))
+        text = server.metrics_text()
+        samples = {name: value for name, _, value in _samples(text)}
+        assert "# TYPE repro_serve_memo_bytes gauge" in text
+        assert float(samples["repro_serve_memo_bytes"]) == 42
+        assert float(samples["repro_serve_memo_entries"]) == 2
