@@ -1,13 +1,13 @@
 #!/usr/bin/env python
 """Streaming vs materializing execution: memory and throughput.
 
-Records the streaming engine's acceptance numbers in
-``BENCH_streaming.json``:
+Records the engine's acceptance numbers in ``BENCH_streaming.json``:
 
-* peak resident rows and wall-clock for the materializing engine vs the
-  streaming engine at several batch sizes on a generated large workload,
-  with a hard check that the streaming runs return identical target flows
-  and ``ExecutionStats``;
+* peak resident rows and wall-clock for the materializing reference
+  interpreter (``tests/engine/reference.py``, a whole-flow walk of the
+  registered operators) vs the engine at several batch sizes on a
+  generated large workload, with a hard check that the engine runs return
+  target flows and ``ExecutionStats`` identical to the reference;
 * a budgeted streaming run (``--max-resident-rows`` + spill directory)
   proving the recorded peak stays within the configured budget.
 
@@ -16,8 +16,8 @@ Timed configurations run once untimed (fused-kernel warm-up) and then
 throughput, robust to scheduler noise on shared runners.
 
 The materializing "peak resident rows" is the sum of all intermediate
-flows' lengths — what the executor's ``flows`` dict holds live at the end
-of a run — an honest floor on what that path keeps in memory.
+flows' lengths — what the reference's ``flows`` dict holds live at the
+end of a run — an honest floor on what that walk keeps in memory.
 
 Usage::
 
@@ -34,19 +34,22 @@ import tempfile
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
 
 from repro.engine import ExecutionBudget, Executor  # noqa: E402
 from repro.engine.tracing import TracingExecutor  # noqa: E402
 from repro.obs import Recorder, summarize, use_recorder  # noqa: E402
 from repro.workloads import generate_workload  # noqa: E402
+from tests.engine.reference import run_reference  # noqa: E402
 
 
 def _materializing_resident_rows(executor, workflow, data) -> int:
-    """Total rows the materializing executor holds across all flows."""
+    """Total rows the reference interpreter holds across all flows."""
     from repro.core.recordset import RecordSet
 
-    result = executor.run(workflow, data)
+    result = run_reference(executor, workflow, data)
     # Every activity output is kept live in the flows dict until the run
     # ends; recompute that footprint from the stats (output rows per
     # activity) plus the source flows.
@@ -100,9 +103,9 @@ def main(argv: list[str] | None = None) -> int:
                 best = elapsed
         return best
 
-    base = executor.run(workload.workflow, data)
+    base = run_reference(executor, workload.workflow, data)
     materializing_seconds = best_seconds(
-        lambda: executor.run(workload.workflow, data)
+        lambda: run_reference(executor, workload.workflow, data)
     )
     materializing_rows = _materializing_resident_rows(
         executor, workload.workflow, data

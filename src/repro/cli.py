@@ -216,34 +216,29 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON file mapping source recordset names to row lists",
     )
     cmd_run.add_argument(
-        "--stream",
-        action="store_true",
-        help="use the streaming engine (implied by the options below)",
-    )
-    cmd_run.add_argument(
         "--batch-size",
         type=int,
         default=None,
-        help="rows per streaming batch (default: 4096; implies --stream)",
+        help="rows per pipeline batch (default: 4096)",
     )
     cmd_run.add_argument(
         "--max-resident-rows",
         type=int,
         default=None,
-        help="resident-row budget for streaming (implies --stream)",
+        help="resident-row budget (default: unbounded)",
     )
     cmd_run.add_argument(
         "--spill-dir",
         default=None,
-        help="spill directory for over-budget buffers (implies --stream)",
+        help="spill directory for over-budget buffers",
     )
     cmd_run.add_argument(
         "--shards",
         type=int,
         default=None,
         help=(
-            "split the run into N data-parallel streaming pipelines "
-            "(targets/stats/rejects identical to serial; implies --stream)"
+            "split the run into N data-parallel pipelines "
+            "(targets/stats/rejects identical to serial)"
         ),
     )
     cmd_run.add_argument(
@@ -324,13 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-size",
         type=int,
         default=None,
-        help="fuzz through the streaming engine with this batch size",
+        help="rows per pipeline batch in fuzz executions (default: 4096)",
     )
     cmd_fuzz.add_argument(
         "--max-resident-rows",
         type=int,
         default=None,
-        help="resident-row budget for streaming fuzz runs",
+        help="resident-row budget for fuzz executions (default: unbounded)",
     )
 
     cmd_serve = commands.add_parser(
@@ -606,16 +601,16 @@ def _cmd_impact(args) -> int:
     return 1
 
 
-def _budget_from_args(args, force: bool = False):
-    """An ExecutionBudget from ``--stream``-family flags, or ``None``."""
+def _budget_from_args(args):
+    """An ExecutionBudget from the budget flags, or ``None`` when none
+    is given (the engine's default budget then applies)."""
     from repro.engine.batches import DEFAULT_BATCH_SIZE, ExecutionBudget
 
-    wants_stream = force or any(
-        value is not None
+    if all(
+        value is None
         for value in (args.batch_size, args.max_resident_rows,
                       getattr(args, "spill_dir", None))
-    )
-    if not wants_stream:
+    ):
         return None
     return ExecutionBudget(
         batch_size=(
@@ -635,31 +630,29 @@ def _cmd_run(args) -> int:
     workflow = load(args.workflow)
     with open(args.data, encoding="utf-8") as handle:
         source_data = json.load(handle)
-    shards = args.shards
-    budget = _budget_from_args(
-        args, force=args.stream or (shards is not None and shards > 1)
-    )
     # Telemetry wants the per-operator spans only TracingExecutor records.
     tracing = args.trace or get_recorder().active
     executor = TracingExecutor() if tracing else Executor()
     result = executor.run(
-        workflow, source_data, budget=budget, shards=shards
+        workflow,
+        source_data,
+        budget=_budget_from_args(args),
+        shards=args.shards,
     )
     for name in sorted(result.targets):
         print(f"target {name}: {len(result.targets[name])} row(s)")
     print(f"rows processed: {result.stats.total_rows_processed}")
-    if result.streaming is not None:
-        streaming = result.streaming
-        budget_note = (
-            f" (budget {streaming.max_resident_rows})"
-            if streaming.max_resident_rows is not None
-            else ""
-        )
-        print(
-            f"streaming: batch size {streaming.batch_size}, peak resident "
-            f"rows {streaming.peak_resident_rows}{budget_note}, "
-            f"{streaming.spilled_rows} row(s) spilled"
-        )
+    streaming = result.streaming
+    budget_note = (
+        f" (budget {streaming.max_resident_rows})"
+        if streaming.max_resident_rows is not None
+        else ""
+    )
+    print(
+        f"streaming: batch size {streaming.batch_size}, peak resident "
+        f"rows {streaming.peak_resident_rows}{budget_note}, "
+        f"{streaming.spilled_rows} row(s) spilled"
+    )
     if args.trace:
         print(executor.last_trace.render())
     if args.output:

@@ -9,22 +9,25 @@ between releases.  The core execution surface is:
 * :class:`Batch` — the columnar unit of data flow: a dict of equal-length
   column lists plus a lazy row-dict adapter (``.columns``, ``.rows()``,
   ``.num_rows``, ``from_rows`` / ``to_rows``);
-* :class:`Executor` (and the :class:`TracingExecutor` /
-  :class:`CheckpointingExecutor` variants) — all three ``run()`` methods
-  share the ``(workflow, data, *, budget=..., recorder=..., ...)``
-  keyword shape;
+* :class:`Executor` — one batch-pipelined columnar interpreter runs
+  every workflow; a plain ``run(workflow, data)`` uses the unbounded
+  default :class:`ExecutionBudget`.  :class:`TracingExecutor` records a
+  per-activity profile of the same runs, and
+  :class:`CheckpointingExecutor` checkpoints node outputs to resume
+  failed runs.  All three ``run()`` methods take ``(workflow, data)``
+  positionally and everything else by keyword (``check_schemas=``,
+  ``budget=``, ``recorder=``); ``collect_rejects=`` and ``shards=``
+  belong to ``Executor.run`` and ``TracingExecutor.run`` only, while
+  ``CheckpointingExecutor.run`` takes ``checkpoints=``,
+  ``fail_before=`` and ``fail_after=`` instead;
 * :class:`ExecutionBudget` / :class:`ExecutionResult` /
   :class:`ExecutionStats` — the run-configuration and run-outcome types;
 * :func:`iter_batches` / :func:`rebatch` — chunking helpers that accept a
   :class:`Batch` or a row sequence and always yield :class:`Batch`;
 * :func:`partition_plan` / :func:`execute_partitioned` — data-parallel
-  sharded streaming (``Executor.run(..., shards=N)``): range-partitioned
-  sources, one streaming pipeline per shard, deterministic merge that is
+  sharded execution (``Executor.run(..., shards=N)``): range-partitioned
+  sources, one pipeline per shard, deterministic merge that is
   byte-identical to the serial run on targets/stats/rejects.
-
-The deprecated row-list helper spellings (``iter_row_batches``,
-``rebatch_rows``) remain importable from :mod:`repro.engine.batches` and
-warn once per process.
 """
 
 from repro.engine.batches import (
@@ -70,12 +73,7 @@ from repro.engine.operators import (
 )
 from repro.engine.rows import Row, as_multiset, freeze_row
 from repro.engine.tracing import ActivityTrace, TraceReport, TracingExecutor
-from repro.engine.validate import (
-    RunEquivalenceReport,
-    StreamingConformanceReport,
-    empirically_equivalent,
-    streaming_matches_materializing,
-)
+from repro.engine.validate import RunEquivalenceReport, empirically_equivalent
 
 __all__ = [
     "Batch",
@@ -115,7 +113,5 @@ __all__ = [
     "freeze_row",
     "as_multiset",
     "RunEquivalenceReport",
-    "StreamingConformanceReport",
     "empirically_equivalent",
-    "streaming_matches_materializing",
 ]

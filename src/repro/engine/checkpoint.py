@@ -7,11 +7,13 @@ work).  :class:`CheckpointingExecutor` persists each node's output flow
 into a :class:`CheckpointStore` as it completes; a re-run against the
 same store skips every checkpointed node and recomputes only the rest.
 
-With an :class:`~repro.engine.batches.ExecutionBudget`, checkpointing is
-**batch-granular**: each node's output is appended to a
-:class:`PartialCheckpoint` one batch at a time, so a failure mid-node
-leaves a durable prefix.  On resume, a row-wise node (every component of
-kind FILTER/FUNCTION) keeps its prefix and recomputes only the suffix of
+Checkpointing is **batch-granular** under the run's effective
+:class:`~repro.engine.batches.ExecutionBudget`: each node's output is
+appended to a :class:`PartialCheckpoint` one batch at a time, so a
+failure mid-node leaves a durable prefix.  Each node runs through the
+batch pipeline's own operator for it, fed batches of its stored input
+flows.  On resume, a row-wise node (every component of kind
+FILTER/FUNCTION) keeps its prefix and recomputes only the suffix of
 input rows it had not consumed; blocking and binary nodes discard the
 partial and recompute whole (their accumulator state is not captured by
 output batches alone).
@@ -30,19 +32,16 @@ from dataclasses import dataclass, field
 
 from repro.core.activity import Activity
 from repro.core.recordset import RecordSet
-from repro.core.flags import columnar_enabled
 from repro.core.workflow import ETLWorkflow
-from repro.engine.batches import ExecutionBudget, iter_batches
-from repro.engine.columnar import Batch, FusedChainRunner, supports_columnar
-from repro.engine.executor import (
-    _UNSET,
-    _resolve_run_args,
-    ExecutionResult,
-    ExecutionStats,
-    Executor,
-    iter_components,
+from repro.engine.batches import (
+    ExecutionBudget,
+    StreamingMetrics,
+    iter_batches,
 )
+from repro.engine.columnar import Batch
+from repro.engine.executor import ExecutionResult, Executor, iter_components
 from repro.engine.rows import Row, check_rows_match_schema
+from repro.engine.streaming import _StreamRun, is_row_wise
 from repro.exceptions import ExecutionError
 from repro.obs import Recorder, use_recorder
 
@@ -137,38 +136,26 @@ class CheckpointingExecutor(Executor):
 
     ``run`` accepts a :class:`CheckpointStore` (reused across attempts),
     an optional ``fail_before`` node id that aborts the run just before
-    that node executes, and — when a ``budget`` sets a batch size — an
-    optional ``fail_after=(node_id, n)`` that aborts after the node's
-    *n*-th output batch was durably appended.  Everything already saved
-    (including partial row-wise prefixes) is reused by the next call.
+    that node executes, and an optional ``fail_after=(node_id, n)`` that
+    aborts after the node's *n*-th output batch was durably appended.
+    Everything already saved (including partial row-wise prefixes) is
+    reused by the next call.  Unlike :meth:`Executor.run` it takes no
+    ``collect_rejects`` or ``shards``: a resumable run is one serial
+    pipeline whose only outputs are the targets and the row counters.
     """
 
     def run(
         self,
         workflow: ETLWorkflow,
         source_data: Mapping[str, list[Row]],
-        *legacy,
-        check_schemas: bool = _UNSET,  # type: ignore[assignment]
-        checkpoints: CheckpointStore | None = _UNSET,  # type: ignore[assignment]
-        fail_before: str | None = _UNSET,  # type: ignore[assignment]
-        fail_after: tuple[str, int] | None = _UNSET,  # type: ignore[assignment]
-        budget: ExecutionBudget | None = _UNSET,  # type: ignore[assignment]
+        *,
+        check_schemas: bool = True,
+        checkpoints: CheckpointStore | None = None,
+        fail_before: str | None = None,
+        fail_after: tuple[str, int] | None = None,
+        budget: ExecutionBudget | None = None,
         recorder: Recorder | None = None,
     ) -> ExecutionResult:
-        (
-            check_schemas,
-            checkpoints,
-            fail_before,
-            fail_after,
-            budget,
-        ) = _resolve_run_args(
-            "CheckpointingExecutor.run",
-            legacy,
-            ("check_schemas", "checkpoints", "fail_before", "fail_after",
-             "budget"),
-            (check_schemas, checkpoints, fail_before, fail_after, budget),
-            (True, None, None, None, None),
-        )
         if recorder is not None:
             with use_recorder(recorder):
                 return self._checkpointed_run(
@@ -193,14 +180,15 @@ class CheckpointingExecutor(Executor):
         workflow.validate()
         workflow.propagate_schemas()
         store = checkpoints if checkpoints is not None else CheckpointStore()
-        budget = budget if budget is not None else self.default_budget
-        if fail_after is not None and budget is None:
-            raise ExecutionError(
-                "fail_after requires a budget (batch-granular mode)"
-            )
+        budget = self._effective_budget(budget)
+        # The pipeline supplies the per-node operators, the row counters
+        # and the resident-row ledger; this loop owns the node order.
+        pipeline = _StreamRun(
+            self, workflow, source_data, budget, check_schemas,
+            collect_rejects=False,
+        )
 
         flows: dict[object, list[Row]] = {}
-        stats = ExecutionStats()
         targets: dict[str, list[Row]] = {}
 
         for node in workflow.topological_order():
@@ -230,31 +218,37 @@ class CheckpointingExecutor(Executor):
                         targets[node.name] = flows[node]
             else:
                 inputs = tuple(flows[p] for p in workflow.providers(node))
-                if budget is None:
-                    flows[node] = self._run_activity(node, inputs, stats)
-                else:
-                    flows[node] = self._run_activity_batched(
-                        node, inputs, stats, store, budget, fail_after
-                    )
+                flows[node] = self._run_node(
+                    node, inputs, pipeline, store, fail_after
+                )
             store.save(node.id, flows[node])
-        return ExecutionResult(targets=targets, stats=stats)
+        return ExecutionResult(
+            targets=targets,
+            stats=pipeline.stats,
+            streaming=StreamingMetrics(
+                batch_size=budget.batch_size,
+                max_resident_rows=budget.max_resident_rows,
+                peak_resident_rows=pipeline.ledger.peak,
+                spilled_rows=pipeline.ledger.spilled_rows,
+                batches_by_activity={
+                    component_id: entry.batches
+                    for component_id, entry in pipeline.metrics.items()
+                },
+            ),
+        )
 
-    def _run_activity_batched(
+    def _run_node(
         self,
         activity: Activity,
         inputs: tuple[list[Row], ...],
-        stats: ExecutionStats,
+        pipeline: _StreamRun,
         store: CheckpointStore,
-        budget: ExecutionBudget,
         fail_after: tuple[str, int] | None,
     ) -> list[Row]:
         """Run one node, appending its output to a partial checkpoint
         one batch at a time (and resuming a row-wise prefix if present)."""
-        components = tuple(iter_components(activity))
-        from repro.engine.streaming import is_row_wise
-
         row_wise = activity.is_unary and all(
-            is_row_wise(component) for component in components
+            is_row_wise(component) for component in iter_components(activity)
         )
         fail_at = (
             fail_after[1]
@@ -275,46 +269,28 @@ class CheckpointingExecutor(Executor):
             partial = store.begin_partial(activity.id, resumable=row_wise)
             start = 0
 
-        appended = 0
-        if row_wise:
-            flow = inputs[0]
-            runner = None
-            if columnar_enabled() and all(
-                supports_columnar(component, self.registry)
-                for component in components
-            ):
-                runner = FusedChainRunner(self.context, self.registry)
-                runner.add(components)
-            for offset in range(start, len(flow), budget.batch_size):
-                batch = flow[offset : offset + budget.batch_size]
-                if runner is not None:
-                    out, counts, _ = runner.run_batch(Batch.from_rows(batch))
-                    for component, (rows_in, rows_out) in zip(
-                        components, counts
-                    ):
-                        stats.record(component.id, rows_in, rows_out)
-                else:
-                    out = batch
-                    for component in components:
-                        operator = self.registry.get(component.template.name)
-                        produced = operator(component, (out,), self.context)
-                        stats.record(component.id, len(out), len(produced))
-                        out = produced
-                store.append_partial(partial, out, offset + len(batch))
-                appended += 1
-                if fail_at is not None and appended >= fail_at:
-                    raise SimulatedFailure(activity.id, after_batches=appended)
-            return partial.rows
+        # Every node runs through the pipeline's own operator for it, fed
+        # batches of the stored input flows (a row-wise node only the
+        # suffix it had not consumed).  ``consumed`` counts the input
+        # rows pulled so far, so at each output batch it is the resume
+        # offset that batch makes durable.
+        consumed = start
 
-        # Blocking/binary node: compute whole (accumulator state is not
-        # reconstructible from output batches), then persist the output
-        # batch-by-batch so the failure injection point still exists.
-        produced = self._run_activity(activity, inputs, stats)
-        for batch in iter_batches(produced, budget.batch_size):
-            store.append_partial(partial, batch, None)
+        def feed(flow: list[Row]):
+            nonlocal consumed
+            for batch in iter_batches(flow, pipeline.budget.batch_size):
+                consumed += len(batch)
+                yield batch
+
+        flows = (inputs[0][start:],) if start else inputs
+        appended = 0
+        for batch in pipeline._activity_iter(
+            activity, tuple(feed(flow) for flow in flows)
+        ):
+            store.append_partial(partial, batch, consumed)
             appended += 1
             if fail_at is not None and appended >= fail_at:
                 raise SimulatedFailure(activity.id, after_batches=appended)
-        return produced
-    # NB: blocking nodes with empty output never hit a fail_after point —
-    # there is no batch boundary to fail on.
+        # NB: a node with empty output never hits a fail_after point —
+        # there is no batch boundary to fail on.
+        return partial.rows

@@ -23,7 +23,7 @@ original row dicts untouched (``to_rows`` hands back the very same
 objects), and a columnar batch materializes dicts only when an opaque
 operator — a custom template, the join probe, the spill replay — actually
 asks for rows.  Blocking and unknown templates therefore still see
-``Row`` objects exactly as the materializing path does.
+``Row`` objects exactly as a whole-flow operator call does.
 
 Compilation is lazy and per-schema: a chain is compiled on the first
 batch that reaches it, keyed by the incoming column layout, so ragged or
@@ -108,8 +108,8 @@ class Batch:
     Internally a batch is either *column-backed* (``columns`` given) or
     *row-backed* (built from row dicts and converted to columns only on
     first ``columns`` access).  Row-backed batches preserve the original
-    dict objects, so opaque operators see exactly what the materializing
-    path would feed them.
+    dict objects, so opaque operators see exactly what a whole-flow
+    operator call would feed them.
     """
 
     __slots__ = ("_columns", "_rows", "_num_rows", "_order")

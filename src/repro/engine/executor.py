@@ -1,36 +1,30 @@
 """The workflow interpreter: runs an ETL workflow on concrete data.
 
 This is the substrate the paper assumes but does not describe: something
-that actually executes an ETL workflow.  The executor walks the graph in
-topological order, feeds each activity the flows of its providers, applies
-the operator registered for its template, and collects the rows arriving
-at each target recordset.  It also counts the rows every activity
+that actually executes an ETL workflow.  The executor feeds each
+activity the flows of its providers in topological order, applies the
+operator registered for its template, and collects the rows arriving at
+each target recordset.  It also counts the rows every activity
 processes — the empirical counterpart of the paper's processed-rows cost
 model, used by the ablation benchmarks to validate the model.
 
-Two execution paths share that contract:
-
-* **materializing** (the default): every intermediate flow is a full
-  Python list — simple, and fine for test-sized data;
-* **streaming** (pass an :class:`~repro.engine.batches.ExecutionBudget`):
-  rows move through the graph in fixed-size batches via generator
-  pipelines, blocking operators accumulate-then-emit with optional
-  spill-to-disk, and memory is bounded by the budget instead of the data.
-  Results and :class:`ExecutionStats` are identical between the paths.
+There is one execution path: the batch-pipelined columnar engine of
+:mod:`repro.engine.streaming`.  An :class:`~repro.engine.batches.
+ExecutionBudget` shapes it — batch size, resident-row ceiling, spill
+directory — and the default budget (no ceiling, no spilling) is what a
+plain ``run(workflow, data)`` uses.  ``shards=N`` runs the same operators
+as N data-parallel pipelines (:mod:`repro.engine.partition`).
 
 Composite (MER'd) activities are unfolded through one shared helper,
-:func:`iter_components`, so both paths report member-level row counts
-identically.
+:func:`iter_components`, so every run reports member-level row counts.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
 from repro.core.activity import Activity, CompositeActivity
-from repro.core.recordset import RecordSet
 from repro.core.workflow import ETLWorkflow
 from repro.engine.batches import ExecutionBudget, StreamingMetrics
 from repro.engine.operators import (
@@ -39,8 +33,7 @@ from repro.engine.operators import (
     default_registry,
     default_scalar_functions,
 )
-from repro.engine.rows import Row, check_rows_match_schema
-from repro.exceptions import ExecutionError
+from repro.engine.rows import Row
 from repro.obs import Recorder, use_recorder
 
 __all__ = [
@@ -50,65 +43,13 @@ __all__ = [
     "iter_components",
 ]
 
-#: Sentinel distinguishing "keyword not passed" from an explicit value,
-#: so a deprecated positional and its keyword can be caught as a clash.
-_UNSET: object = object()
-
-_warned_positional: set[str] = set()
-
-
-def _resolve_run_args(
-    method: str,
-    legacy: tuple,
-    names: tuple[str, ...],
-    keywords: tuple,
-    defaults: tuple,
-) -> tuple:
-    """Map deprecated positional ``run()`` arguments onto their keywords.
-
-    All executors share the ``run(workflow, data, *, budget=...,
-    recorder=..., ...)`` keyword shape; arguments beyond ``(workflow,
-    data)`` passed positionally still land on the historical parameter
-    order (``names``) but warn once per method — the same facade pattern
-    :func:`repro.optimize` uses for its legacy budget spellings.
-    """
-    values = list(keywords)
-    if legacy:
-        if len(legacy) > len(names):
-            raise TypeError(
-                f"{method}() takes at most {2 + len(names)} positional "
-                f"arguments ({2 + len(legacy)} given)"
-            )
-        if method not in _warned_positional:
-            _warned_positional.add(method)
-            warnings.warn(
-                f"passing {method}() arguments positionally beyond "
-                f"(workflow, source_data) is deprecated; pass "
-                f"{', '.join(f'{name}=' for name in names[: len(legacy)])}"
-                f"by keyword",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        for index, value in enumerate(legacy):
-            if values[index] is not _UNSET:
-                raise TypeError(
-                    f"{method}() got multiple values for argument "
-                    f"{names[index]!r}"
-                )
-            values[index] = value
-    return tuple(
-        default if value is _UNSET else value
-        for value, default in zip(values, defaults)
-    )
-
-
 def iter_components(activity: Activity) -> Iterator[Activity]:
     """The executable parts of an activity, in chain order.
 
     A plain activity yields itself; a :class:`CompositeActivity` yields
-    its (recursively flattened) members.  Both execution paths and the
-    fuzz oracles walk composites through this single helper, so packaged
-    groups report member-level stats consistently everywhere.
+    its (recursively flattened) members.  The engine, the shard plans and
+    the fuzz oracles walk composites through this single helper, so
+    packaged groups report member-level stats consistently everywhere.
     """
     if isinstance(activity, CompositeActivity):
         for component in activity.components:
@@ -147,8 +88,9 @@ class ExecutionResult:
     dropped — the reject streams real ETL deployments route to error
     tables for inspection and replay.
 
-    ``streaming`` is populated by streaming runs only: the batch size the
-    run used, its peak resident rows, and how many rows were spilled.
+    ``streaming`` describes the batch pipeline that produced the result:
+    the batch size the run used, its peak resident rows, and how many
+    rows were spilled.  Every engine run sets it.
     """
 
     targets: dict[str, list[Row]]
@@ -166,8 +108,7 @@ class Executor:
         registry: template-name -> operator mapping; defaults to the
             builtin operators.
         budget: default :class:`ExecutionBudget` applied to every
-            :meth:`run` that does not pass its own — an executor built
-            with a budget streams by default.
+            :meth:`run` that does not pass its own.
     """
 
     def __init__(
@@ -186,10 +127,10 @@ class Executor:
         self,
         workflow: ETLWorkflow,
         source_data: Mapping[str, list[Row]],
-        *legacy,
-        check_schemas: bool = _UNSET,  # type: ignore[assignment]
-        collect_rejects: bool = _UNSET,  # type: ignore[assignment]
-        budget: ExecutionBudget | None = _UNSET,  # type: ignore[assignment]
+        *,
+        check_schemas: bool = True,
+        collect_rejects: bool = False,
+        budget: ExecutionBudget | None = None,
         recorder: Recorder | None = None,
         shards: int | None = None,
     ) -> ExecutionResult:
@@ -200,26 +141,17 @@ class Executor:
         mismatches at the boundary instead of deep inside an operator.
         With ``collect_rejects``, every filter activity's dropped rows are
         gathered into ``ExecutionResult.rejects`` (keyed by activity id).
-        With a ``budget`` (or a default budget on the executor), rows are
-        streamed through the graph in batches instead of materialized.
+        ``budget`` shapes the batch pipeline; without one the executor's
+        default budget applies, and without that ``ExecutionBudget()``
+        (default batch size, unbounded resident rows).
         With a ``recorder``, that :class:`~repro.obs.Recorder` is active
         for the duration of the run (telemetry spans/counters land there).
         With ``shards`` > 1, the run is split into that many data-parallel
-        streaming pipelines over range-partitioned sources (implies
-        streaming; targets/stats/rejects stay byte-identical to serial —
-        see :mod:`repro.engine.partition`), degrading to serial streaming
-        with a warning when the workflow shape does not allow it.
-
-        Arguments beyond ``(workflow, source_data)`` are keyword-only;
-        the historical positional form still works but warns once.
+        pipelines over range-partitioned sources (targets/stats/rejects
+        stay byte-identical to serial — see :mod:`repro.engine.partition`),
+        degrading to one pipeline with a warning when the workflow shape
+        does not allow it.
         """
-        check_schemas, collect_rejects, budget = _resolve_run_args(
-            "Executor.run",
-            legacy,
-            ("check_schemas", "collect_rejects", "budget"),
-            (check_schemas, collect_rejects, budget),
-            (True, False, None),
-        )
         if recorder is not None:
             with use_recorder(recorder):
                 return self._run(
@@ -231,6 +163,13 @@ class Executor:
             shards,
         )
 
+    def _effective_budget(
+        self, budget: ExecutionBudget | None = None
+    ) -> ExecutionBudget:
+        """``budget``, else the executor's default, else the unbounded
+        :class:`ExecutionBudget` every run falls back to."""
+        return budget or self.default_budget or ExecutionBudget()
+
     def _run(
         self,
         workflow: ETLWorkflow,
@@ -240,7 +179,7 @@ class Executor:
         budget: ExecutionBudget | None,
         shards: int | None = None,
     ) -> ExecutionResult:
-        budget = budget if budget is not None else self.default_budget
+        budget = self._effective_budget(budget)
         if shards is not None and shards > 1:
             from repro.engine.partition import execute_partitioned
 
@@ -248,58 +187,21 @@ class Executor:
                 self,
                 workflow,
                 source_data,
-                # Sharding is a streaming mode: without an explicit
-                # budget, shards run under the default batch size.
-                budget if budget is not None else ExecutionBudget(),
+                budget,
                 shards,
                 check_schemas=check_schemas,
                 collect_rejects=collect_rejects,
             )
-        if budget is not None:
-            from repro.engine.streaming import execute_streaming
+        from repro.engine.streaming import execute_streaming
 
-            return execute_streaming(
-                self,
-                workflow,
-                source_data,
-                budget,
-                check_schemas=check_schemas,
-                collect_rejects=collect_rejects,
-            )
-
-        workflow.validate()
-        workflow.propagate_schemas()
-
-        flows: dict[object, list[Row]] = {}
-        stats = ExecutionStats()
-        targets: dict[str, list[Row]] = {}
-        rejects: dict[str, list[Row]] = {}
-
-        for node in workflow.topological_order():
-            if isinstance(node, RecordSet):
-                if node.is_source:
-                    try:
-                        rows = source_data[node.name]
-                    except KeyError:
-                        raise ExecutionError(
-                            f"no data supplied for source {node.name!r}"
-                        ) from None
-                    if check_schemas:
-                        check_rows_match_schema(
-                            rows, node.schema, f"source {node.name}"
-                        )
-                    flows[node] = list(rows)
-                else:
-                    provider = workflow.providers(node)[0]
-                    flows[node] = flows[provider]
-                    if node.is_target:
-                        targets[node.name] = flows[node]
-                continue
-            inputs = tuple(flows[p] for p in workflow.providers(node))
-            flows[node] = self._run_activity(node, inputs, stats)
-            if collect_rejects:
-                self._collect_rejects(node, inputs, flows[node], rejects)
-        return ExecutionResult(targets=targets, stats=stats, rejects=rejects)
+        return execute_streaming(
+            self,
+            workflow,
+            source_data,
+            budget,
+            check_schemas=check_schemas,
+            collect_rejects=collect_rejects,
+        )
 
     @staticmethod
     def is_filter_like(activity: Activity) -> bool:
@@ -312,72 +214,13 @@ class Executor:
             for component in iter_components(activity)
         )
 
-    @staticmethod
-    def _collect_rejects(
-        activity: Activity,
-        inputs: tuple[list[Row], ...],
-        produced: list[Row],
-        rejects: dict[str, list[Row]],
-    ) -> None:
-        """Record the rows a filter dropped (bag difference in − out).
-
-        Composite activities report per component would require threading
-        intermediate flows; the package is reported as one filter when
-        *all* its components are filters.
-        """
-        from collections import Counter
-
-        from repro.engine.rows import freeze_row
-
-        if not Executor.is_filter_like(activity):
-            return
-        kept = Counter(freeze_row(row) for row in produced)
-        dropped: list[Row] = []
-        for row in inputs[0]:
-            frozen = freeze_row(row)
-            if kept[frozen] > 0:
-                kept[frozen] -= 1
-            else:
-                dropped.append(row)
-        rejects[activity.id] = dropped
-
-    def _run_activity(
-        self,
-        activity: Activity,
-        inputs: tuple[list[Row], ...],
-        stats: ExecutionStats,
-    ) -> list[Row]:
-        """Run one (possibly composite) node by chaining its components."""
-        if not isinstance(activity, CompositeActivity):
-            return self._run_component(activity, inputs, stats)
-        flow = inputs[0]
-        for component in iter_components(activity):
-            flow = self._run_component(component, (flow,), stats)
-        return flow
-
-    def _run_component(
-        self,
-        component: Activity,
-        inputs: tuple[list[Row], ...],
-        stats: ExecutionStats,
-    ) -> list[Row]:
-        """Run one non-composite activity (the unit both paths account in)."""
-        operator = self.registry.get(component.template.name)
-        produced = operator(component, inputs, self.context)
-        stats.record(
-            component.id,
-            processed=sum(len(flow) for flow in inputs),
-            produced=len(produced),
-        )
-        return produced
-
     def _streaming_finished(
         self,
         metrics: "dict[str, object]",
         ledger: object,
         total_seconds: float,
     ) -> None:
-        """Hook called once per streaming run with per-component metrics.
+        """Hook called once per run with per-component metrics.
 
         The base executor ignores it; :class:`~repro.engine.tracing.
         TracingExecutor` turns the metrics into a :class:`TraceReport`.

@@ -12,8 +12,8 @@ pipeline, because row-wise chains commute with ordered concatenation:
     chain(slice_0 ++ slice_1 ++ ...) == chain(slice_0) ++ chain(slice_1) ++ ...
 
 **Byte-identity contract.**  A partitioned run returns the same
-``targets``, ``stats`` and ``rejects`` as the serial streaming run (and
-therefore as the materializing run), for every shard count:
+``targets``, ``stats`` and ``rejects`` as the serial pipeline run, for
+every shard count:
 
 * *targets* — the serial union drains its inputs in port order, i.e. one
   source-to-target *leaf* at a time; the merge below concatenates
@@ -44,7 +44,6 @@ from __future__ import annotations
 import itertools
 import time
 import warnings
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -65,11 +64,13 @@ from repro.engine.executor import (
     Executor,
     iter_components,
 )
-from repro.engine.rows import Row, check_rows_match_schema, freeze_row
+from repro.engine.rows import Row
 from repro.engine.streaming import (
     ComponentMetrics,
+    checked_batches,
     execute_streaming,
     is_row_wise,
+    run_row_chain,
 )
 from repro.exceptions import ExecutionError
 from repro.obs import get_recorder
@@ -226,36 +227,6 @@ def partition_plan(workflow: ETLWorkflow) -> PartitionPlan:
 # -- per-shard execution (runs inside workers) -------------------------------
 
 
-def _source_batches(node, rows, batch_size, check_schemas, columnar):
-    """Schema-checked source batches — the same check-is-the-column-build
-    fast path as the serial streaming run (row indices in errors are
-    shard-relative)."""
-    where = f"source {node.name}"
-    attrs = node.schema.attrs
-    width = len(attrs)
-    fast = check_schemas and columnar
-    for start in range(0, len(rows), batch_size):
-        chunk = rows[start : start + batch_size]
-        if fast:
-            try:
-                if sum(map(len, chunk)) == width * len(chunk):
-                    columns = {
-                        name: [row[name] for row in chunk] for name in attrs
-                    }
-                    yield Batch.from_columns(columns, len(chunk))
-                    continue
-            except KeyError:
-                pass
-            check_rows_match_schema(
-                chunk, node.schema, where, start_index=start
-            )
-        elif check_schemas:
-            check_rows_match_schema(
-                chunk, node.schema, where, start_index=start
-            )
-        yield Batch.from_rows(chunk)
-
-
 def _leaf_program(leaf, registry, context, columnar, collect_rejects):
     """Compile one leaf into executable ops.
 
@@ -263,7 +234,7 @@ def _leaf_program(leaf, registry, context, columnar, collect_rejects):
     (the PR 7 kernels, unchanged); activities with custom/unfusable
     components run the row-at-a-time fallback; union markers only
     record counters.  Ops are ``("fused", runner, stage_ids)``,
-    ``("row", node, components, reject_id)`` or ``("union", node_id)``.
+    ``("row", components, reject_id)`` or ``("union", node_id)``.
     """
     ops: list[tuple] = []
     fused: tuple | None = None
@@ -287,7 +258,7 @@ def _leaf_program(leaf, registry, context, columnar, collect_rejects):
             fused[1].add(components, reject_id)
             fused[2].extend(c.id for c in components)
         else:
-            ops.append(("row", node, components, reject_id))
+            ops.append(("row", components, reject_id))
             fused = None
     return ops
 
@@ -325,6 +296,9 @@ def _run_shard(
         produced[component_id] = produced.get(component_id, 0) + rows_out
         batches[component_id] = batches.get(component_id, 0) + 1
 
+    def record_component(component, rows_in, rows_out, _seconds) -> None:
+        record(component.id, rows_in, rows_out)
+
     for leaf in plan.leaves:
         try:
             rows = source_data[leaf.source.name]
@@ -338,7 +312,7 @@ def _run_shard(
         )
         rejects: dict[str, list[Row]] = {}
         out_rows: list[Row] = []
-        for batch in _source_batches(
+        for batch in checked_batches(
             leaf.source, rows[start:end], batch_size, check_schemas, columnar
         ):
             ledger.acquire(leaf.source.id, len(batch))
@@ -363,35 +337,17 @@ def _run_shard(
                                 ).extend(dropped_rows)
                         flow = out
                     else:
-                        _, node, components, reject_id = op
-                        arrived = flow.to_rows()
-                        out = arrived
-                        if reject_id is not None:
-                            for component in components:
-                                operator = registry.get(
-                                    component.template.name
-                                )
-                                made = operator(component, (out,), context)
-                                record(component.id, len(out), len(made))
-                                out = made
-                            kept = Counter(freeze_row(row) for row in out)
-                            bucket = rejects.setdefault(reject_id, [])
-                            for row in arrived:
-                                frozen = freeze_row(row)
-                                if kept[frozen] > 0:
-                                    kept[frozen] -= 1
-                                else:
-                                    bucket.append(row)
-                        else:
-                            for component in components:
-                                if not out:
-                                    break
-                                operator = registry.get(
-                                    component.template.name
-                                )
-                                made = operator(component, (out,), context)
-                                record(component.id, len(out), len(made))
-                                out = made
+                        _, components, reject_id = op
+                        out = run_row_chain(
+                            components,
+                            flow.to_rows(),
+                            registry,
+                            context,
+                            record_component,
+                            None
+                            if reject_id is None
+                            else rejects.setdefault(reject_id, []),
+                        )
                         flow = Batch.from_rows(out)
                     if not flow:
                         break

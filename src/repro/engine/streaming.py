@@ -1,10 +1,10 @@
-"""Streaming batch-pipelined workflow execution.
+"""The execution engine: a batch-pipelined columnar workflow interpreter.
 
-The materializing executor holds every intermediate flow as a full list,
-so memory — not processed rows — becomes the binding constraint long
-before night-window-sized loads.  This module executes the same workflows
+Every workflow run goes through this module.  It executes the workflow
 as generator pipelines over fixed-size :class:`~repro.engine.columnar.
-Batch` chunks:
+Batch` chunks, so memory is bounded by the
+:class:`~repro.engine.batches.ExecutionBudget` instead of the data (the
+default budget holds any number of rows resident and never spills):
 
 * **row-wise activities** (kind FILTER / FUNCTION) built from fusable
   builtin templates are compiled into a *fused* columnar kernel — one
@@ -13,7 +13,8 @@ Batch` chunks:
   same :class:`_FusedPipe`, so a linear chain costs one pass over the
   touched columns per batch instead of one dict rebuild per operator per
   row.  Custom row-wise templates (and builtin templates re-bound to
-  custom operators) run the legacy row-at-a-time path unchanged;
+  custom operators) run their registered row operators one batch at a
+  time (:func:`run_row_chain`);
 * **blocking activities** run an explicit *accumulate-then-emit* phase:
   aggregation and distinct fold batches into O(groups) accumulators
   (column-wise when the batch has a usable column view), join buffers
@@ -27,13 +28,14 @@ Batch` chunks:
   one call of their registered operator (correct, but unbounded — the
   price of an opaque operator).
 
-The streaming path is row- and stats-identical to the materializing path:
-same target lists, same per-activity (member-level, for composites)
-``ExecutionStats`` counters.  That property is enforced by the
-equivalence test suite, the fuzz oracles, and the Hypothesis columnar
-conformance suite; setting ``REPRO_NO_COLUMNAR=1`` (see
-:mod:`repro.core.flags`) forces every row-wise chain onto the legacy row
-operators for differential debugging.
+Target lists (row order included), the per-activity (member-level, for
+composites) ``ExecutionStats`` counters and the reject multisets are
+independent of the batch size and equal those of a plain whole-flow walk
+of the registered operators.  The equivalence test suite checks that
+against a small reference interpreter kept with the tests, as do the
+fuzz oracles and the Hypothesis columnar conformance suite; setting
+``REPRO_NO_COLUMNAR=1`` (see :mod:`repro.core.flags`) forces every
+row-wise chain onto the row operators for differential debugging.
 """
 
 from __future__ import annotations
@@ -71,7 +73,13 @@ from repro.engine.rows import Row, check_rows_match_schema, freeze_row
 from repro.exceptions import ExecutionError
 from repro.templates.base import ActivityKind
 
-__all__ = ["ComponentMetrics", "execute_streaming", "is_row_wise"]
+__all__ = [
+    "ComponentMetrics",
+    "checked_batches",
+    "execute_streaming",
+    "is_row_wise",
+    "run_row_chain",
+]
 
 BatchIterator = Iterator[Batch]
 
@@ -86,6 +94,88 @@ def is_row_wise(component: Activity) -> bool:
     templates that declare those kinds.
     """
     return component.is_unary and component.kind in _ROW_WISE_KINDS
+
+
+def checked_batches(
+    node: RecordSet,
+    rows: list[Row],
+    batch_size: int,
+    check_schemas: bool,
+    columnar: bool,
+) -> BatchIterator:
+    """A source's rows as schema-checked batches.
+
+    When schema checking is on and the columnar path is enabled, the
+    conformance check *is* the column build: every row must yield a
+    value for every schema attribute (KeyError otherwise) and carry
+    exactly ``len(schema)`` attributes — together that is set equality,
+    at one column-build pass instead of a per-row set comparison, and
+    downstream fused chains get a column view for free.  Any violation
+    re-runs the row checker for its exact per-row error message (row
+    indices are relative to ``rows``).
+    """
+    where = f"source {node.name}"
+    fast = check_schemas and columnar
+    attrs = node.schema.attrs
+    width = len(attrs)
+    for start in range(0, len(rows), batch_size):
+        chunk = rows[start : start + batch_size]
+        if fast:
+            try:
+                if sum(map(len, chunk)) == width * len(chunk):
+                    columns = {
+                        name: [row[name] for row in chunk] for name in attrs
+                    }
+                    yield Batch.from_columns(columns, len(chunk))
+                    continue
+            except KeyError:
+                pass
+            check_rows_match_schema(
+                chunk, node.schema, where, start_index=start
+            )
+        elif check_schemas:
+            check_rows_match_schema(
+                chunk, node.schema, where, start_index=start
+            )
+        yield Batch.from_rows(chunk)
+
+
+def run_row_chain(
+    components: tuple[Activity, ...],
+    rows: list[Row],
+    registry,
+    context,
+    record,
+    dropped: list[Row] | None = None,
+) -> list[Row]:
+    """``rows`` through row-wise ``components``, one operator call each.
+
+    ``record(component, rows_in, rows_out, seconds)`` is called per
+    stage.  With a ``dropped`` list the chain is a reject-collecting
+    filter: every stage records (even on an emptied flow) and the rows
+    the chain dropped — the bag difference in − out, which per batch
+    concatenates to the whole-flow difference because filters keep rows
+    unmodified — are appended to ``dropped``.  Without one, the chain
+    stops at the first stage that empties the flow.
+    """
+    out = rows
+    for component in components:
+        if not out and dropped is None:
+            break
+        operator = registry.get(component.template.name)
+        begun = time.perf_counter()
+        produced = operator(component, (out,), context)
+        record(component, len(out), len(produced), time.perf_counter() - begun)
+        out = produced
+    if dropped is not None:
+        kept = Counter(freeze_row(row) for row in out)
+        for row in rows:
+            frozen = freeze_row(row)
+            if kept[frozen] > 0:
+                kept[frozen] -= 1
+            else:
+                dropped.append(row)
+    return out
 
 
 @dataclass
@@ -198,8 +288,8 @@ class _StreamRun:
         if entry is None:
             entry = ComponentMetrics(activity=component)
             self.metrics[component.id] = entry
-            # Materializing runs record every walked activity, even on
-            # empty flows; register eagerly so the key sets match.
+            # Every walked activity is recorded, even on an empty flow;
+            # register eagerly so the key set never depends on the data.
             self.stats.record(component.id, 0, 0)
         return entry
 
@@ -315,55 +405,15 @@ class _StreamRun:
         return self._activity_iter(node, input_iters)
 
     def _source_batches(self, node: RecordSet, rows: list[Row]) -> BatchIterator:
-        where = f"source {node.name}"
-        for offset, batch in self._checked_batches(node, rows, where):
+        for batch in checked_batches(
+            node, rows, self.budget.batch_size, self.check_schemas,
+            self.columnar,
+        ):
             self.ledger.acquire(node.id, len(batch))
             try:
                 yield batch
             finally:
                 self.ledger.release(node.id, len(batch))
-
-    def _checked_batches(
-        self, node: RecordSet, rows: list[Row], where: str
-    ) -> Iterator[tuple[int, Batch]]:
-        """Source rows as schema-checked batches.
-
-        When schema checking is on and the columnar path is enabled, the
-        conformance check *is* the column build: every row must yield a
-        value for every schema attribute (KeyError otherwise) and carry
-        exactly ``len(schema)`` attributes — together that is set
-        equality, at one column-build pass instead of a per-row set
-        comparison, and downstream fused chains get a column view for
-        free.  Any violation re-runs the row checker for its exact
-        per-row error message.
-        """
-        batch_size = self.budget.batch_size
-        fast = self.check_schemas and self.columnar
-        attrs = node.schema.attrs
-        width = len(attrs)
-        for start in range(0, len(rows), batch_size):
-            chunk = rows[start : start + batch_size]
-            if fast:
-                try:
-                    if sum(map(len, chunk)) == width * len(chunk):
-                        columns = {
-                            name: [row[name] for row in chunk]
-                            for name in attrs
-                        }
-                        yield start, Batch.from_columns(columns, len(chunk))
-                        continue
-                except KeyError:
-                    pass
-                # Some row diverges from the schema: the row checker
-                # raises with the offending row's absolute index.
-                check_rows_match_schema(
-                    chunk, node.schema, where, start_index=start
-                )
-            elif self.check_schemas:
-                check_rows_match_schema(
-                    chunk, node.schema, where, start_index=start
-                )
-            yield start, Batch.from_rows(chunk)
 
     def _activity_iter(
         self, activity: Activity, input_iters: tuple[BatchIterator, ...]
@@ -383,8 +433,8 @@ class _StreamRun:
                 return self._fused_iter(
                     components, input_iters[0], reject_activity=activity.id
                 )
-            return self._filter_chain_with_rejects(
-                activity, components, input_iters[0]
+            return self._row_chain(
+                components, input_iters[0], reject_activity=activity.id
             )
         if not isinstance(activity, CompositeActivity):
             return self._component_iter(activity, input_iters)
@@ -400,7 +450,7 @@ class _StreamRun:
         if is_row_wise(component):
             if self.columnar and supports_columnar(component, self.registry):
                 return self._fused_iter((component,), input_iters[0])
-            return self._rowwise(component, input_iters[0])
+            return self._row_chain((component,), input_iters[0])
         name = component.template.name
         if name == "aggregation":
             return self._aggregate(component, input_iters[0])
@@ -435,60 +485,32 @@ class _StreamRun:
             return upstream
         return _FusedPipe(self, upstream, components, reject_activity)
 
-    def _rowwise(
-        self, component: Activity, upstream: BatchIterator
-    ) -> BatchIterator:
-        operator = self.registry.get(component.template.name)
-        metric = self.metric(component)
-        for batch in upstream:
-            begun = time.perf_counter()
-            rows = batch.to_rows()
-            out = operator(component, (rows,), self.context)
-            self._record(metric, len(rows), len(out), time.perf_counter() - begun)
-            if out:
-                yield Batch.from_rows(out)
+    def _record_component(
+        self, component: Activity, rows_in: int, rows_out: int, seconds: float
+    ) -> None:
+        self._record(self.metric(component), rows_in, rows_out, seconds)
 
-    def _filter_chain_with_rejects(
+    def _row_chain(
         self,
-        activity: Activity,
         components: tuple[Activity, ...],
         upstream: BatchIterator,
+        reject_activity: str | None = None,
     ) -> BatchIterator:
-        """A row-wise filter chain that also reports its dropped rows.
-
-        Filters keep rows unmodified, so the per-batch bag difference
-        concatenates to exactly the materializing path's whole-flow diff.
-        """
-        stages = [
-            (
-                self.metric(component),
-                self.registry.get(component.template.name),
-            )
-            for component in components
-        ]
-        dropped = self.rejects.setdefault(activity.id, [])
+        """Row-wise ``components`` applied with their row operators."""
+        for component in components:
+            self.metric(component)
+        dropped = (
+            self.rejects.setdefault(reject_activity, [])
+            if reject_activity is not None
+            else None
+        )
 
         def pipeline() -> BatchIterator:
             for batch in upstream:
-                rows = batch.to_rows()
-                out = rows
-                for metric, operator in stages:
-                    begun = time.perf_counter()
-                    produced = operator(
-                        metric.activity, (out,), self.context
-                    )
-                    self._record(
-                        metric, len(out), len(produced),
-                        time.perf_counter() - begun,
-                    )
-                    out = produced
-                kept = Counter(freeze_row(row) for row in out)
-                for row in rows:
-                    frozen = freeze_row(row)
-                    if kept[frozen] > 0:
-                        kept[frozen] -= 1
-                    else:
-                        dropped.append(row)
+                out = run_row_chain(
+                    components, batch.to_rows(), self.registry,
+                    self.context, self._record_component, dropped,
+                )
                 if out:
                     yield Batch.from_rows(out)
 
@@ -509,7 +531,7 @@ class _StreamRun:
         # Per group: [non-null count, running sum, min, max].  All five
         # aggregate kinds are decomposable over these, and the running
         # updates apply in arrival order, so the emitted values are
-        # bit-identical to the materializing operator's.
+        # bit-identical to the registered row operator's.
         groups: dict[tuple, list] = {}
         try:
             for batch in upstream:

@@ -7,12 +7,11 @@ model against real behaviour (which activity actually dominates?) and for
 the kind of night-window capacity planning the paper's introduction
 motivates.
 
-Tracing composes with both execution paths.  On the materializing path
-each component is timed around its operator call; on the streaming path
-(run with an :class:`~repro.engine.batches.ExecutionBudget`) the trace
-additionally reports how many batches each component processed and its
-peak resident rows, taken from the run's
-:class:`~repro.engine.batches.ResidentLedger`.
+Every trace comes from the batch pipeline's own per-component metrics:
+rows in/out and seconds, how many batches each component processed, and
+its peak resident rows, taken from the run's
+:class:`~repro.engine.batches.ResidentLedger` (sharded runs report the
+merged per-shard counters and the largest shard's peak).
 """
 
 from __future__ import annotations
@@ -21,10 +20,9 @@ import time
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from repro.core.activity import Activity
 from repro.core.workflow import ETLWorkflow
 from repro.engine.batches import ExecutionBudget, ResidentLedger
-from repro.engine.executor import ExecutionResult, ExecutionStats, Executor
+from repro.engine.executor import ExecutionResult, Executor
 from repro.engine.rows import Row
 from repro.obs import get_recorder
 
@@ -33,11 +31,7 @@ __all__ = ["ActivityTrace", "TraceReport", "TracingExecutor"]
 
 @dataclass(frozen=True)
 class ActivityTrace:
-    """Measurements for one activity in one run.
-
-    ``batches`` is 1 on the materializing path (the whole flow is one
-    chunk); ``peak_resident_rows`` is only known for streaming runs.
-    """
+    """Measurements for one activity in one run."""
 
     activity_id: str
     name: str
@@ -45,8 +39,8 @@ class ActivityTrace:
     rows_in: int
     rows_out: int
     seconds: float
-    batches: int = 1
-    peak_resident_rows: int | None = None
+    batches: int
+    peak_resident_rows: int
 
     @property
     def selectivity(self) -> float | None:
@@ -77,11 +71,6 @@ class TraceReport:
             selectivity = (
                 f"{trace.selectivity:.2f}" if trace.selectivity is not None else "—"
             )
-            peak = (
-                str(trace.peak_resident_rows)
-                if trace.peak_resident_rows is not None
-                else "—"
-            )
             share = (
                 100.0 * trace.seconds / self.total_seconds
                 if self.total_seconds > 0
@@ -90,7 +79,7 @@ class TraceReport:
             lines.append(
                 f"{trace.activity_id:<10}{trace.template:<16}"
                 f"{trace.rows_in:>9}{trace.rows_out:>9}{selectivity:>7}"
-                f"{trace.batches:>9}{peak:>9}"
+                f"{trace.batches:>9}{trace.peak_resident_rows:>9}"
                 f"{1000 * trace.seconds:>9.2f}{share:>7.1f}"
             )
         return "\n".join(lines)
@@ -118,19 +107,13 @@ class TracingExecutor(Executor):
         shards: int | None = None,
     ) -> ExecutionResult:
         # Overrides the body hook, not run() itself: the base run()
-        # resolves the shared keyword shape (and installs a recorder=)
-        # before this executes, so tracing inherits the facade for free.
+        # installs a recorder= before this executes.
         self._current = []
         started = time.perf_counter()
         sharded = shards is not None and shards > 1
         try:
             with get_recorder().span(
-                "engine.run",
-                mode=(
-                    "sharded"
-                    if sharded
-                    else "streaming" if budget is not None else "batch"
-                ),
+                "engine.run", mode="sharded" if sharded else "streaming"
             ):
                 result = super()._run(
                     workflow,
@@ -148,40 +131,10 @@ class TracingExecutor(Executor):
             self._current = None
         return result
 
-    def _run_component(
-        self,
-        component: Activity,
-        inputs: tuple[list[Row], ...],
-        stats: ExecutionStats,
-    ) -> list[Row]:
-        started = time.perf_counter()
-        produced = super()._run_component(component, inputs, stats)
-        elapsed = time.perf_counter() - started
-        get_recorder().record_span(
-            "engine.operator",
-            elapsed,
-            activity=component.id,
-            operator=component.template.name,
-            rows_in=sum(len(flow) for flow in inputs),
-            rows_out=len(produced),
-        )
-        if self._current is not None:
-            self._current.append(
-                ActivityTrace(
-                    activity_id=component.id,
-                    name=component.name,
-                    template=component.template.name,
-                    rows_in=sum(len(flow) for flow in inputs),
-                    rows_out=len(produced),
-                    seconds=elapsed,
-                )
-            )
-        return produced
-
     def _streaming_finished(
         self, metrics, ledger: ResidentLedger, total_seconds: float
     ) -> None:
-        """Turn a streaming run's per-component metrics into traces."""
+        """Turn a run's per-component metrics into traces."""
         if self._current is None:
             return
         recorder = get_recorder()

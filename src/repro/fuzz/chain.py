@@ -82,9 +82,9 @@ class FuzzConfig:
     #: walk degenerates into merge ping-pong.
     packaging_probability: float = 0.3
     oracle: OracleConfig = field(default_factory=OracleConfig)
-    #: When set, every oracle execution streams under this budget, so the
-    #: fuzzer differentially tests the streaming engine against the same
-    #: equivalence and cost-conformance checks.
+    #: When set, every oracle execution runs under this budget instead of
+    #: the engine's default one, so the fuzzer checks small batches and
+    #: spilling against the same equivalence and cost-conformance checks.
     execution_budget: ExecutionBudget | None = None
     #: Maintain a delta-costed :class:`CostReport` along each chain and
     #: compare it against a from-scratch estimate at every state — the

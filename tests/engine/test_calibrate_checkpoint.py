@@ -152,13 +152,29 @@ class TestBatchGranularCheckpointing:
 
         return ExecutionBudget(batch_size=batch_size)
 
-    def test_fail_after_requires_budget(self, fig1):
-        from repro.exceptions import ExecutionError
-
+    def test_fail_after_without_budget_fails_then_resumes(self, fig1):
+        # Every run is batch-granular under the default budget, so a
+        # batch failure point needs no explicit budget.
         data = fig1.make_data(seed=3)
         executor = CheckpointingExecutor(context=fig1.context)
-        with pytest.raises(ExecutionError):
-            executor.run(fig1.workflow, data, fail_after=("7", 1))
+        reference = executor.run(fig1.workflow, data)
+        store = CheckpointStore()
+        with pytest.raises(SimulatedFailure) as failure:
+            executor.run(
+                fig1.workflow, data, checkpoints=store, fail_after=("7", 1)
+            )
+        assert failure.value.node_id == "7"
+        assert failure.value.after_batches == 1
+        assert "7" in store.partials
+        resumed = executor.run(fig1.workflow, data, checkpoints=store)
+        assert resumed.targets == reference.targets
+        assert set(resumed.stats.rows_processed) == {"7", "8"}
+        for activity_id in ("7", "8"):
+            assert (
+                resumed.stats.rows_processed[activity_id]
+                == reference.stats.rows_processed[activity_id]
+            )
+        assert "7" not in store.partials
 
     def test_fail_after_every_activity_then_resume(self, fig1):
         from repro.core.activity import Activity

@@ -1,16 +1,12 @@
-"""The regularized executor ``run()`` facade and the public surface.
+"""The executor ``run()`` signatures and the public surface.
 
-All three executors accept the same ``(workflow, data, *, budget=...,
-recorder=..., ...)`` keyword shape; the historical positional forms keep
-working but warn once per method, and clashing positional + keyword
-spellings raise like a normal Python signature would.
+All three executors take ``(workflow, data)`` positionally and every
+other argument by keyword (``budget=``, ``recorder=``, ...); a plain run
+streams under the default budget.
 """
-
-import warnings
 
 import pytest
 
-import repro.engine.executor as executor_module
 from repro.engine import (
     CheckpointingExecutor,
     CheckpointStore,
@@ -65,65 +61,18 @@ class TestKeywordShape:
         )
         assert result.targets
 
+    def test_default_run_streams_unbounded(self, tiny):
+        workload, data = tiny
+        for cls in (Executor, TracingExecutor, CheckpointingExecutor):
+            result = _executor(workload, cls).run(workload.workflow, data)
+            assert result.streaming is not None
+            assert result.streaming.batch_size == 4096
+            assert result.streaming.max_resident_rows is None
+
 
 class TestLegacyPositionalForms:
-    def test_positional_run_warns_once_and_still_works(self, tiny):
-        workload, data = tiny
-        executor = _executor(workload)
-        executor_module._warned_positional.discard("Executor.run")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = executor.run(workload.workflow, data, True, True)
-            repeat = executor.run(workload.workflow, data, True, True)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "check_schemas=" in str(deprecations[0].message)
-        modern = executor.run(
-            workload.workflow, data, check_schemas=True, collect_rejects=True
-        )
-        assert legacy.targets == repeat.targets == modern.targets
-        assert legacy.rejects == modern.rejects
-
-    def test_positional_budget_still_streams(self, tiny):
-        workload, data = tiny
-        executor = _executor(workload)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            result = executor.run(
-                workload.workflow,
-                data,
-                True,
-                False,
-                ExecutionBudget(batch_size=4),
-            )
-        assert result.streaming is not None
-        assert result.streaming.batch_size == 4
-
-    def test_checkpointing_legacy_positional_order(self, tiny):
-        workload, data = tiny
-        executor = _executor(workload, CheckpointingExecutor)
-        store = CheckpointStore()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            # Historical order: check_schemas, checkpoints, ...
-            result = executor.run(workload.workflow, data, True, store)
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        assert store.completed_nodes
-        assert result.targets
-
-    def test_positional_and_keyword_clash_raises(self, tiny):
-        workload, data = tiny
-        executor = _executor(workload)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(TypeError, match="multiple values"):
-                executor.run(
-                    workload.workflow, data, True, check_schemas=False
-                )
+    """The historical positional ``run()`` forms are gone: arguments
+    beyond ``(workflow, data)`` are keyword-only."""
 
     def test_too_many_positionals_raise(self, tiny):
         workload, data = tiny

@@ -4,8 +4,8 @@ One test per row-wise template kind plus the cross-cutting codegen
 features (None-hoisting, scalar inlining, reject tracking, the
 ``REPRO_NO_COLUMNAR`` escape hatch): for every chain the streaming run
 with fused kernels must be bit-identical — targets, stats, rejects, and
-error messages — to both the materializing run and the streaming run
-with the columnar path disabled.
+error messages — to both the reference interpreter and the streaming
+run with the columnar path disabled.
 """
 
 import pytest
@@ -24,6 +24,7 @@ from repro.engine import (
 from repro.engine.columnar import FusedChainRunner, supports_columnar
 from repro.exceptions import ExecutionError
 from repro.templates import default_library
+from tests.engine.reference import run_reference
 
 
 def chain_workflow(steps, schema, out_schema, cardinality=10):
@@ -61,7 +62,7 @@ def assert_paths_agree(
     context=None,
     batch_size=3,
 ):
-    """Materializing == row-streaming == fused-columnar-streaming."""
+    """Reference interpreter == row-streaming == fused-columnar-streaming."""
     workflow = chain_workflow(steps, schema, out_schema, len(rows))
     executor = (
         Executor(context=context) if context is not None else Executor()
@@ -69,7 +70,7 @@ def assert_paths_agree(
     data = {"S": rows}
     budget = ExecutionBudget(batch_size=batch_size)
 
-    base = executor.run(workflow, data, collect_rejects=True)
+    base = run_reference(executor, workflow, data, collect_rejects=True)
     previous = set_columnar(False)
     try:
         row_streamed = executor.run(

@@ -37,6 +37,7 @@ from repro.workloads.scenarios import (
     star_join_scenario,
     two_branch_scenario,
 )
+from tests.engine.reference import run_reference
 
 
 def assert_identical(serial, sharded):
@@ -125,7 +126,9 @@ class TestByteIdentity:
     def test_matches_materializing_run(self):
         scenario, data = _two_branch(n=80)
         executor = Executor(context=scenario.context)
-        base = executor.run(scenario.workflow, data, collect_rejects=True)
+        base = run_reference(
+            executor, scenario.workflow, data, collect_rejects=True
+        )
         sharded = execute_partitioned(
             executor,
             scenario.workflow,

@@ -1,4 +1,5 @@
-"""Streaming engine: equivalence with materializing, budgets, and spill."""
+"""The batch pipeline: equivalence with the reference interpreter,
+budgets, and spill."""
 
 import glob
 import os
@@ -16,11 +17,12 @@ from repro.engine import (
     StreamingMetrics,
     as_multiset,
     iter_components,
-    streaming_matches_materializing,
 )
 from repro.engine.batches import iter_batches, rebatch
 from repro.engine.tracing import TracingExecutor
 from repro.exceptions import ExecutionError
+from tests.engine.conformance import streaming_matches_materializing
+from tests.engine.reference import run_reference
 from repro.workloads import generate_workload
 from repro.workloads.scenarios import (
     dual_target_scenario,
@@ -67,7 +69,9 @@ class TestEquivalenceOnGeneratedWorkloads:
         workload = generate_workload(category, seed=11)
         data = workload.make_data(11)
         executor = Executor(context=workload.context)
-        base = executor.run(workload.workflow, data, collect_rejects=True)
+        base = run_reference(
+            executor, workload.workflow, data, collect_rejects=True
+        )
         streamed = executor.run(
             workload.workflow,
             data,
@@ -75,8 +79,20 @@ class TestEquivalenceOnGeneratedWorkloads:
             budget=ExecutionBudget(batch_size=batch_size),
         )
         assert_runs_identical(base, streamed)
-        assert streamed.streaming is not None
-        assert base.streaming is None
+        assert streamed.streaming.batch_size == batch_size
+
+    @pytest.mark.parametrize("category", ["tiny", "small", "medium"])
+    def test_default_run_equals_reference(self, category):
+        workload = generate_workload(category, seed=11)
+        data = workload.make_data(11)
+        executor = Executor(context=workload.context)
+        base = run_reference(
+            executor, workload.workflow, data, collect_rejects=True
+        )
+        default = executor.run(workload.workflow, data, collect_rejects=True)
+        assert_runs_identical(base, default)
+        assert default.streaming.batch_size == DEFAULT_BATCH_SIZE
+        assert default.streaming.max_resident_rows is None
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -108,7 +124,7 @@ class TestEquivalenceOnBinaryScenarios:
         scenario = builder()
         data = scenario.make_data(0)
         executor = Executor(context=scenario.context)
-        base = executor.run(scenario.workflow, data)
+        base = run_reference(executor, scenario.workflow, data)
         streamed = executor.run(
             scenario.workflow, data, budget=ExecutionBudget(batch_size=batch_size)
         )
@@ -120,7 +136,7 @@ class TestEquivalenceOnBinaryScenarios:
 class TestFig1Streaming:
     def test_fig1_streams_identically(self, fig1, fig1_executor):
         data = fig1.make_data(seed=5)
-        base = fig1_executor.run(fig1.workflow, data)
+        base = run_reference(fig1_executor, fig1.workflow, data)
         streamed = fig1_executor.run(
             fig1.workflow, data, budget=ExecutionBudget(batch_size=13)
         )
@@ -128,7 +144,7 @@ class TestFig1Streaming:
         assert base.stats.rows_processed == streamed.stats.rows_processed
 
     def test_composite_reports_member_level_stats(self, fig1, fig1_executor):
-        """MER'd groups account per component on both paths (satellite)."""
+        """MER'd groups account per component, as in the reference."""
         from repro.core.transitions import Merge
 
         workflow = fig1.workflow
@@ -143,7 +159,7 @@ class TestFig1Streaming:
                 break
         assert merged is not None
         data = fig1.make_data(seed=5)
-        base = fig1_executor.run(merged, data)
+        base = run_reference(fig1_executor, merged, data)
         streamed = fig1_executor.run(
             merged, data, budget=ExecutionBudget(batch_size=17)
         )
@@ -187,7 +203,7 @@ class TestSpill:
         scenario = star_join_scenario()
         data = scenario.make_data(0)
         executor = Executor(context=scenario.context)
-        base = executor.run(scenario.workflow, data)
+        base = run_reference(executor, scenario.workflow, data)
         streamed = executor.run(
             scenario.workflow,
             data,
@@ -217,7 +233,7 @@ class TestSpill:
         workload = generate_workload("small", seed=7, rows_per_source=200)
         data = workload.make_data(7)
         executor = Executor(context=workload.context)
-        base = executor.run(workload.workflow, data)
+        base = run_reference(executor, workload.workflow, data)
         streamed = executor.run(
             workload.workflow,
             data,
@@ -366,7 +382,7 @@ class TestCustomBlockingFallback:
 
         data = {"S": [{"A": i} for i in range(9)]}
         executor = Executor(registry=registry)
-        base = executor.run(workflow, data)
+        base = run_reference(executor, workflow, data)
         streamed = executor.run(
             workflow, data, budget=ExecutionBudget(batch_size=2)
         )
@@ -391,13 +407,22 @@ class TestTracingStreams:
         assert "batches" in rendered and "res.peak" in rendered
 
     def test_materializing_trace_unchanged(self):
+        # The default (unbudgeted) run is the same pipeline, so its trace
+        # carries the batch columns too: one entry per component, rows
+        # matching the run's stats, and an integer resident-row peak.
         workload = generate_workload("tiny", seed=4)
         data = workload.make_data(4)
         executor = TracingExecutor(context=workload.context)
-        executor.run(workload.workflow, data)
+        result = executor.run(workload.workflow, data)
         trace = executor.last_trace
-        assert all(t.batches == 1 for t in trace.traces)
-        assert all(t.peak_resident_rows is None for t in trace.traces)
+        assert [t.activity_id for t in trace.traces] == list(
+            result.stats.rows_processed
+        )
+        for entry in trace.traces:
+            assert entry.rows_in == result.stats.rows_processed[entry.activity_id]
+            assert entry.rows_out == result.stats.rows_output[entry.activity_id]
+            assert isinstance(entry.peak_resident_rows, int)
+            assert entry.batches >= (1 if entry.rows_in else 0)
 
 
 class TestSchemaErrorsReportAbsoluteRow:

@@ -3,7 +3,7 @@
 For any generated workload, seed, and batch size, a streaming run with
 the columnar kernels enabled must produce exactly what the same run
 produces with ``REPRO_NO_COLUMNAR`` semantics (row-at-a-time operators)
-and what the materializing path produces: identical target multisets,
+and what the reference interpreter produces: identical target multisets,
 identical per-activity row counters, identical reject multisets.
 """
 
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from repro.core.flags import set_columnar
 from repro.engine import ExecutionBudget, Executor, as_multiset
 from repro.workloads import generate_workload
+from tests.engine.reference import run_reference
 
 _SETTINGS = settings(
     max_examples=25,
@@ -52,8 +53,8 @@ def test_columnar_path_equals_row_path(case):
     executor = Executor(context=workload.context)
     budget = ExecutionBudget(batch_size=batch_size)
 
-    base = executor.run(
-        workload.workflow, data, collect_rejects=collect_rejects
+    base = run_reference(
+        executor, workload.workflow, data, collect_rejects=collect_rejects
     )
     fused = _run(executor, workload, data, budget, collect_rejects, True)
     rowwise = _run(executor, workload, data, budget, collect_rejects, False)
@@ -89,7 +90,7 @@ def test_columnar_checkpoint_resume_matches(seed, batch_size):
     data = workload.make_data(seed, n=24)
     executor = CheckpointingExecutor(context=workload.context)
     budget = ExecutionBudget(batch_size=batch_size)
-    reference = executor.run(workload.workflow, data, budget=budget)
+    reference = run_reference(executor, workload.workflow, data)
 
     nodes = workload.workflow.topological_order()
     fail_at = nodes[seed % len(nodes)].id

@@ -19,6 +19,7 @@ from repro.engine import (
     measure_selectivities,
 )
 from repro.workloads import generate_workload
+from tests.engine.reference import run_reference
 
 _SETTINGS = settings(
     max_examples=20,
@@ -40,7 +41,7 @@ def test_resume_from_any_failure_point(case):
     workload, fail_choice = case
     data = workload.make_data(1, n=30)
     executor = CheckpointingExecutor(context=workload.context)
-    reference = executor.run(workload.workflow, data)
+    reference = run_reference(executor, workload.workflow, data)
 
     nodes = workload.workflow.topological_order()
     fail_at = nodes[fail_choice % len(nodes)].id

@@ -230,11 +230,14 @@ def runnable_flow(tmp_path):
 
 class TestRunCommand:
     def test_materializing_run(self, runnable_flow, capsys):
+        # A plain run is the pipeline under the default budget: no
+        # resident-row ceiling, so no budget note.
         flow, data = runnable_flow
         assert main(["run", flow, "--data", data]) == 0
         out = capsys.readouterr().out
         assert "target T: 5 row(s)" in out
-        assert "streaming" not in out
+        assert "streaming: batch size 4096, peak resident rows" in out
+        assert "(budget" not in out
 
     def test_streaming_run_reports_budget(self, runnable_flow, capsys):
         flow, data = runnable_flow
@@ -247,12 +250,17 @@ class TestRunCommand:
         assert "batch size 16" in out
         assert "(budget 64)" in out
 
-    def test_stream_flag_alone_uses_default_batch_size(
-        self, runnable_flow, capsys
-    ):
+    def test_plain_run_uses_default_batch_size(self, runnable_flow, capsys):
         flow, data = runnable_flow
-        assert main(["run", flow, "--data", data, "--stream"]) == 0
+        assert main(["run", flow, "--data", data]) == 0
         assert "batch size 4096" in capsys.readouterr().out
+
+    def test_stream_flag_is_gone(self, runnable_flow, capsys):
+        flow, data = runnable_flow
+        with pytest.raises(SystemExit) as exited:
+            main(["run", flow, "--data", data, "--stream"])
+        assert exited.value.code == 2
+        assert "--stream" in capsys.readouterr().err
 
     def test_trace_and_output(self, runnable_flow, tmp_path, capsys):
         import json
@@ -260,8 +268,7 @@ class TestRunCommand:
         flow, data = runnable_flow
         out_path = str(tmp_path / "targets.json")
         assert main(
-            ["run", flow, "--data", data, "--stream", "--trace",
-             "-o", out_path]
+            ["run", flow, "--data", data, "--trace", "-o", out_path]
         ) == 0
         out = capsys.readouterr().out
         assert "res.peak" in out  # trace table rendered
