@@ -1,14 +1,11 @@
 """The unified search budget — one knob object for all four algorithms.
 
-Historically every algorithm grew its own budget surface: ES took
-``max_states``/``max_seconds`` keyword arguments, HS buried a wall-clock
-budget inside :class:`~repro.core.search.heuristic.HSConfig`, and the
-annealer had only ``max_seconds``.  :class:`SearchBudget` replaces that
-divergence with a single value object accepted (as ``budget=``) by
-:func:`~repro.optimize`, :func:`~repro.core.search.exhaustive
-.exhaustive_search`, :func:`~repro.core.search.heuristic
-.heuristic_search`, :func:`~repro.core.search.greedy.greedy_search` and
-:func:`~repro.core.search.annealing.annealing_search` alike.
+A single value object accepted (as ``budget=``) by :func:`~repro.optimize`,
+:func:`~repro.core.search.exhaustive.exhaustive_search`,
+:func:`~repro.core.search.heuristic.heuristic_search`,
+:func:`~repro.core.search.greedy.greedy_search` and
+:func:`~repro.core.search.annealing.annealing_search` alike; its
+``max_states``/``max_seconds`` are the only stopping criteria.
 
 Besides the two stopping criteria it carries the two *execution* knobs the
 parallel engine introduces:
@@ -38,7 +35,7 @@ from typing import Any
 
 from repro.exceptions import ReproError
 
-__all__ = ["SearchBudget", "coalesce_budget"]
+__all__ = ["SearchBudget"]
 
 
 @dataclass(frozen=True)
@@ -93,23 +90,3 @@ class SearchBudget:
             return os.cpu_count() or 1
         return int(self.jobs)
 
-
-def coalesce_budget(
-    budget: SearchBudget | None,
-    max_states: int | None = None,
-    max_seconds: float | None = None,
-) -> SearchBudget:
-    """Merge a ``budget=`` argument with an algorithm's legacy kwargs.
-
-    The legacy per-algorithm keywords (``max_states=`` / ``max_seconds=``)
-    keep working when no :class:`SearchBudget` is supplied; passing both
-    spellings at once is ambiguous and raises.
-    """
-    if budget is None:
-        return SearchBudget(max_states=max_states, max_seconds=max_seconds)
-    if max_states is not None or max_seconds is not None:
-        raise ReproError(
-            "pass stopping criteria either through budget=SearchBudget(...) "
-            "or through the legacy max_states=/max_seconds= keywords, not both"
-        )
-    return budget

@@ -6,9 +6,10 @@ states remain, pick one, generate its children, and finally return the
 cheapest visited state.  The space is finite (signature-identified states,
 finitely many transitions), so ES terminates — eventually.  The paper let
 it run for up to 40 hours and still reports "did not terminate" for medium
-and large workflows; our implementation accepts explicit ``max_states`` /
-``max_seconds`` budgets and reports ``completed=False`` with the best
-state found when a budget trips, mirroring that methodology.
+and large workflows; our implementation honours the ``max_states`` /
+``max_seconds`` of a :class:`~repro.core.search.budget.SearchBudget` and
+reports ``completed=False`` with the best state found when a budget
+trips, mirroring that methodology.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.core.search.bound import (
     mobile_root_ids,
     state_lower_bound,
 )
-from repro.core.search.budget import SearchBudget, coalesce_budget
+from repro.core.search.budget import SearchBudget
 from repro.core.search.result import OptimizationResult
 from repro.core.search.state import SearchState
 from repro.core.search.transposition import TranspositionCache
@@ -40,8 +41,6 @@ __all__ = ["exhaustive_search"]
 def exhaustive_search(
     workflow: ETLWorkflow,
     model: CostModel | None = None,
-    max_states: int | None = None,
-    max_seconds: float | None = None,
     strategy: str = "best_first",
     budget: SearchBudget | None = None,
     pool=None,
@@ -59,8 +58,6 @@ def exhaustive_search(
     Args:
         workflow: the initial state ``S0``.
         model: cost model; defaults to the paper's processed-rows model.
-        max_states: legacy spelling of ``budget.max_states``.
-        max_seconds: legacy spelling of ``budget.max_seconds``.
         strategy: ``"best_first"`` or ``"breadth_first"``.
         budget: uniform :class:`SearchBudget`; with ``jobs != 1`` the
             best-first frontier expands in parallel waves (see
@@ -77,7 +74,7 @@ def exhaustive_search(
     if strategy not in ("best_first", "breadth_first"):
         raise ReproError(f"unknown ES strategy {strategy!r}")
     model = model if model is not None else ProcessedRowsCostModel()
-    budget = coalesce_budget(budget, max_states=max_states, max_seconds=max_seconds)
+    budget = budget if budget is not None else SearchBudget()
 
     if budget.resolved_jobs() > 1 and strategy == "best_first":
         from repro.core.search.parallel import parallel_exhaustive

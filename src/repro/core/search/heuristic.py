@@ -100,14 +100,11 @@ class HSConfig:
             ``visited`` worklist (guards pathological fan-out).
         phase_iv_cap: number of recorded states (cheapest first) whose
             local groups Phase IV re-optimizes.
-        max_seconds: overall wall-clock budget; best-so-far is returned
-            with ``completed=False`` when it trips.
     """
 
     group_cap: int = 64
     phase_state_cap: int = 48
     phase_iv_cap: int = 8
-    max_seconds: float | None = None
 
 
 class _Session:
@@ -131,11 +128,6 @@ class _Session:
         self.config = config
         self.budget = budget
         self.algorithm = algorithm
-        self.max_seconds = (
-            budget.max_seconds
-            if budget.max_seconds is not None
-            else config.max_seconds
-        )
         self.ns = ns
         self.pool = pool
         #: Fork-server token of the preloaded (S0 workflow, model) pair;
@@ -147,8 +139,8 @@ class _Session:
         self.best: SearchState | None = None
 
     def check_budget(self) -> None:
-        if self.max_seconds is not None:
-            if time.perf_counter() - self.started > self.max_seconds:
+        if self.budget.max_seconds is not None:
+            if time.perf_counter() - self.started > self.budget.max_seconds:
                 raise SearchBudgetExceeded("HS wall-clock budget exhausted")
         if self.budget.max_states is not None:
             if len(self.seen) >= self.budget.max_states:
@@ -206,8 +198,7 @@ def heuristic_search(
         config: see :class:`HSConfig` (tuning knobs of the four phases).
         greedy: switch to the HS-Greedy swap strategy.
         budget: uniform :class:`SearchBudget` — stopping criteria plus the
-            ``jobs`` / ``cache`` execution knobs.  ``budget.max_seconds``
-            supersedes the legacy ``config.max_seconds`` when both are set.
+            ``jobs`` / ``cache`` execution knobs.
         pool: a :class:`~repro.core.search.parallel.WorkerPool` to reuse
             (:func:`~repro.core.search.parallel.optimize_many` amortizes
             one pool across runs); by default a pool is created on demand

@@ -42,16 +42,6 @@ class OptimizationResult:
     lineage: tuple[LineageStep, ...] = field(default=())
 
     @property
-    def visited(self) -> int:
-        """Alias for :attr:`visited_states` (uniform reporting surface)."""
-        return self.visited_states
-
-    @property
-    def elapsed(self) -> float:
-        """Alias for :attr:`elapsed_seconds` (uniform reporting surface)."""
-        return self.elapsed_seconds
-
-    @property
     def initial_cost(self) -> float:
         return self.initial.cost
 

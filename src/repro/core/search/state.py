@@ -50,8 +50,8 @@ class LineageStep:
     transition: str
     cost_after: float
     #: Bound node ids, in :func:`repro.obs.provenance.transition_targets`
-    #: order.  Empty only on legacy (pre-structured) serialized steps.
-    targets: tuple[str, ...] = ()
+    #: order.
+    targets: tuple[str, ...]
 
     def to_dict(self) -> dict[str, object]:
         return {

@@ -19,8 +19,8 @@ default budget holds any number of rows resident and never spills):
   aggregation and distinct fold batches into O(groups) accumulators
   (column-wise when the batch has a usable column view), join buffers
   its build side (spilling to disk past the resident-row budget, then
-  degrading to a block nested-loop probe — the same feasibility split as
-  ``physical/implementations.py``), and difference/intersection fold the
+  degrading to a block nested-loop probe, since a hash index needs the
+  whole build side resident), and difference/intersection fold the
   right input into a multiset counter;
 * **fan-out nodes** (several consumers) are drained into a
   :class:`~repro.engine.batches.SpillableRowBuffer` each consumer replays;
@@ -683,8 +683,8 @@ class _StreamRun:
                 buffer.extend(batch)
                 self._record(metric, len(batch), 0, time.perf_counter() - begun)
             if not buffer.spilled:
-                # Build side fits the budget: classic hash join (mirrors
-                # the `hash_join` feasibility rule in physical/).
+                # Build side fits the budget: classic hash join over an
+                # in-memory index of the build rows.
                 index: dict[tuple, list[Row]] = {}
                 for row in buffer.rows():
                     index.setdefault(

@@ -54,16 +54,14 @@ def explain(workflow: ETLWorkflow, model: CostModel | None = None) -> str:
 
 
 def _step_parts(step) -> tuple[str, str, float]:
-    """(mnemonic, description, cost_after) of a lineage step in any of its
-    serialized forms (LineageStep, dict, or bare description string)."""
+    """(mnemonic, description, cost_after) of a lineage step, either a
+    :class:`~repro.core.search.state.LineageStep` or its dict form."""
     if isinstance(step, dict):
         return (
             str(step.get("mnemonic", "")),
             str(step.get("transition", "")),
             float(step.get("cost_after", 0.0)),
         )
-    if isinstance(step, str):
-        return step.partition("(")[0], step, 0.0
     return step.mnemonic, step.transition, float(step.cost_after)
 
 

@@ -60,7 +60,6 @@ from repro.obs.provenance import (
     LineageMismatch,
     LineageReplay,
     lineage_mix,
-    parse_transition,
     record_transition,
     rejection_reason,
     replay_lineage,
@@ -101,7 +100,6 @@ __all__ = [
     "load_events",
     "load_metrics",
     "new_trace_id",
-    "parse_transition",
     "record_transition",
     "rejection_reason",
     "render_exemplars",

@@ -16,8 +16,8 @@ the endpoint.  This module closes that gap from two sides:
   carries the chain of :class:`~repro.core.search.state.LineageStep`\\ s
   that produced it, and ``OptimizationResult.lineage`` exposes the winning
   chain.  :func:`replay_lineage` re-applies that chain through the real
-  transition system (descriptions name concrete node ids, so the replay is
-  exact) and :func:`verify_lineage` asserts the replay lands on the
+  transition system (each step carries its bound node ids, so the replay
+  is exact) and :func:`verify_lineage` asserts the replay lands on the
   reported best state — turning the provenance from a claim into a proof.
 
 Kougka et al.'s survey of data-centric workflow optimization singles out
@@ -55,7 +55,6 @@ __all__ = [
     "rejection_reason",
     "transition_targets",
     "build_transition",
-    "parse_transition",
     "replay_lineage",
     "verify_lineage",
     "lineage_mix",
@@ -189,78 +188,24 @@ def build_transition(
     )
 
 
-def parse_transition(workflow: ETLWorkflow, description: str) -> Transition:
-    """Rebuild a transition from its ``describe()`` string against a state.
+def _step_payload(step: "LineageStep | dict") -> tuple[str, tuple[str, ...]]:
+    """The structured ``(mnemonic, targets)`` of a step.
 
-    **Legacy fallback**: structured lineage steps carry their bound node
-    ids directly (see :func:`build_transition`); this parser exists only
-    for pre-structured serialized lineages (raw strings, old step dicts).
-    It assumes node ids free of ``,``/``(``/``)`` — ids containing those
-    characters misparse here, which is exactly why the structured payload
-    is the primary path.  Raises :class:`~repro.exceptions.ReproError`
-    when the description is malformed or names nodes absent from
-    ``workflow``.
-    """
-    head, _, rest = description.partition("(")
-    if not rest.endswith(")"):
-        raise ReproError(f"malformed transition description {description!r}")
-    args = [part.strip() for part in rest[:-1].split(",")]
-    mnemonic = head.strip()
-    try:
-        if mnemonic == "SWA" and len(args) == 2:
-            return Swap(
-                workflow.node_by_id(args[0]), workflow.node_by_id(args[1])
-            )
-        if mnemonic == "FAC" and len(args) == 3:
-            return Factorize(
-                workflow.node_by_id(args[0]),
-                workflow.node_by_id(args[1]),
-                workflow.node_by_id(args[2]),
-            )
-        if mnemonic == "DIS" and len(args) == 2:
-            return Distribute(
-                workflow.node_by_id(args[0]), workflow.node_by_id(args[1])
-            )
-        if mnemonic == "MER" and len(args) == 3:
-            # describe() renders MER(a1+a2, a1, a2): the trailing two args
-            # are the components, the first is the composite-to-be.
-            return Merge(
-                workflow.node_by_id(args[1]), workflow.node_by_id(args[2])
-            )
-        if mnemonic == "SPL" and len(args) == 1:
-            return Split(workflow.node_by_id(args[0]))
-    except ReproError as exc:
-        raise ReproError(
-            f"lineage step {description!r} does not bind: {exc}"
-        ) from exc
-    raise ReproError(f"unrecognized transition description {description!r}")
-
-
-def _step_description(step: "LineageStep | dict | str") -> str:
-    if isinstance(step, dict):
-        return str(step["transition"])
-    transition = getattr(step, "transition", None)  # LineageStep duck-type
-    if isinstance(transition, str):
-        return transition
-    return str(step)
-
-
-def _step_payload(
-    step: "LineageStep | dict | str",
-) -> tuple[str, tuple[str, ...]] | None:
-    """The structured ``(mnemonic, targets)`` of a step, if it carries one.
-
-    ``None`` (raw strings, legacy dicts/steps without targets) sends the
-    step down the string-parsing fallback.
+    Raises :class:`~repro.exceptions.ReproError` naming the step when it
+    carries no such payload (a raw description string, or a step without
+    ``targets``): replay binds transitions only from the recorded ids.
     """
     if isinstance(step, dict):
         mnemonic, targets = step.get("mnemonic"), step.get("targets")
     else:
         mnemonic = getattr(step, "mnemonic", None)
         targets = getattr(step, "targets", None)
-    if isinstance(mnemonic, str) and targets:
-        return mnemonic, tuple(str(target) for target in targets)
-    return None
+    if not isinstance(mnemonic, str) or not targets:
+        raise ReproError(
+            f"lineage step {step!r} carries no structured "
+            "(mnemonic, targets) payload to replay"
+        )
+    return mnemonic, tuple(str(target) for target in targets)
 
 
 @dataclass(frozen=True)
@@ -294,14 +239,15 @@ def replay_lineage(
 
     Args:
         workflow: the initial state ``S0`` (not mutated).
-        lineage: an iterable of :class:`LineageStep`, step dicts, or raw
-            description strings (the three serialized forms).
+        lineage: an iterable of :class:`LineageStep` or step dicts (its
+            serialized form); each must carry ``mnemonic`` and ``targets``.
         model: cost model for the per-step re-estimates (defaults to the
             paper's processed-rows model).
 
     Raises:
-        ReproError: when a step fails to parse or to apply — a lineage
-            that does not replay is corrupt provenance, never a soft miss.
+        ReproError: when a step carries no ``targets`` or fails to bind or
+            apply — a lineage that does not replay is corrupt provenance,
+            never a soft miss.
     """
     from repro.core.search.state import LineageStep
 
@@ -312,11 +258,7 @@ def replay_lineage(
     initial_cost = estimate(current, model).total
     steps: list[LineageStep] = []
     for raw in lineage:
-        payload = _step_payload(raw)
-        if payload is not None:
-            transition = build_transition(current, *payload)
-        else:
-            transition = parse_transition(current, _step_description(raw))
+        transition = build_transition(current, *_step_payload(raw))
         current = transition.apply(current)
         steps.append(
             LineageStep(

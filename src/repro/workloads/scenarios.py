@@ -219,8 +219,9 @@ def _fig4_base_nodes(cardinality: float) -> dict:
         "sk": lambda node_id: Activity(
             node_id,
             t.SURROGATE_KEY,
-            # lookup_size is a physical annotation: the physical planner
-            # only considers a hash lookup feasible when the table fits.
+            # lookup_size records the lookup table's row count.  Nothing
+            # prices or executes it, but it is part of the workflow
+            # document, and so of its fingerprint.
             {
                 "key_attr": "KEY",
                 "skey_attr": "SKEY",

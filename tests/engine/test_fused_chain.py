@@ -427,10 +427,13 @@ class TestCodegenFeatures:
                 {"S": rows},
                 budget=ExecutionBudget(batch_size=2),
             )
+            assert not calls
+            # Enable explicitly: under REPRO_NO_COLUMNAR=1 the restored
+            # previous value is already False.
+            set_columnar(True)
+            executor.run(
+                workflow, {"S": rows}, budget=ExecutionBudget(batch_size=2)
+            )
         finally:
             set_columnar(previous)
-        assert not calls
-        executor.run(
-            workflow, {"S": rows}, budget=ExecutionBudget(batch_size=2)
-        )
         assert calls

@@ -1,4 +1,5 @@
-"""The unified SearchBudget surface and the legacy-kwarg deprecation shims."""
+"""The unified SearchBudget surface: the one spelling of every stopping
+criterion, accepted by every algorithm."""
 
 from __future__ import annotations
 
@@ -7,8 +8,14 @@ import warnings
 
 import pytest
 
-from repro import HSConfig, ReproError, SearchBudget, optimize
-from repro.core.search.budget import coalesce_budget
+from repro import (
+    HSConfig,
+    ReproError,
+    SearchBudget,
+    annealing_search,
+    exhaustive_search,
+    optimize,
+)
 from repro.workloads import fig1_workflow
 
 
@@ -31,15 +38,6 @@ class TestSearchBudget:
         assert SearchBudget(jobs=0).resolved_jobs() == (os.cpu_count() or 1)
         assert SearchBudget(jobs=-1).resolved_jobs() == (os.cpu_count() or 1)
 
-    def test_coalesce_rejects_both_spellings(self):
-        with pytest.raises(ReproError):
-            coalesce_budget(SearchBudget(max_states=5), max_states=5)
-
-    def test_coalesce_builds_budget_from_legacy(self):
-        budget = coalesce_budget(None, max_states=7, max_seconds=1.5)
-        assert budget.max_states == 7
-        assert budget.max_seconds == 1.5
-
 
 class TestBudgetAcceptedEverywhere:
     @pytest.mark.parametrize("algorithm", ["es", "hs", "greedy", "sa"])
@@ -56,39 +54,14 @@ class TestBudgetAcceptedEverywhere:
 
     def test_budget_path_does_not_warn(self):
         with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
+            warnings.simplefilter("error")
             optimize(
                 fig1_workflow().workflow,
                 algorithm="es",
                 budget=SearchBudget(max_states=10),
             )
-
-    def test_budget_plus_legacy_kwarg_is_an_error(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ReproError):
-                optimize(
-                    fig1_workflow().workflow,
-                    algorithm="es",
-                    budget=SearchBudget(max_states=10),
-                    max_states=10,
-                )
-
-
-class TestDeprecationShims:
-    def test_legacy_max_states_still_works_and_warns_once(self):
-        with pytest.warns(DeprecationWarning) as caught:
-            result = optimize(
-                fig1_workflow().workflow, algorithm="es", max_states=100
-            )
-        assert result.best.cost <= result.initial.cost
-        deprecations = [
-            w for w in caught if w.category is DeprecationWarning
-        ]
-        assert len(deprecations) == 1
-        assert "budget=SearchBudget" in str(deprecations[0].message)
-
-    def test_legacy_hsconfig_still_works_and_warns_once(self):
-        with pytest.warns(DeprecationWarning) as caught:
+            # HSConfig is an ordinary HS/greedy option, like seed=/steps=
+            # for SA: it passes through optimize() without a warning.
             result = optimize(
                 fig1_workflow().workflow,
                 algorithm="hs",
@@ -96,37 +69,38 @@ class TestDeprecationShims:
             )
         assert result.algorithm == "HS"
         assert result.best.cost <= result.initial.cost
-        deprecations = [
-            w for w in caught if w.category is DeprecationWarning
-        ]
-        assert len(deprecations) == 1
 
-    def test_legacy_max_seconds_maps_to_budget(self):
-        with pytest.warns(DeprecationWarning):
-            result = optimize(
-                fig1_workflow().workflow, algorithm="sa", max_seconds=0.0
+    def test_budget_plus_legacy_kwarg_is_an_error(self):
+        # Stopping criteria have one spelling: a per-algorithm keyword is
+        # rejected by Python itself, with or without a budget alongside.
+        workflow = fig1_workflow().workflow
+        with pytest.raises(TypeError):
+            optimize(
+                workflow,
+                algorithm="es",
+                budget=SearchBudget(max_states=10),
+                max_states=10,
             )
-        assert not result.completed
-
-    def test_direct_algorithm_calls_stay_silent(self):
-        # Only the optimize() facade nags; the algorithm functions keep
-        # their historical signatures without warnings.
-        from repro import exhaustive_search, heuristic_search
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            exhaustive_search(fig1_workflow().workflow, max_states=50)
-            heuristic_search(
-                fig1_workflow().workflow, config=HSConfig(group_cap=8)
-            )
+        with pytest.raises(TypeError):
+            optimize(workflow, "es", max_states=3)
+        with pytest.raises(TypeError):
+            optimize(workflow, "hs", max_seconds=0.0)
+        with pytest.raises(TypeError):
+            exhaustive_search(workflow, max_seconds=0.0)
+        with pytest.raises(TypeError):
+            annealing_search(workflow, max_seconds=0.0)
+        with pytest.raises(TypeError):
+            HSConfig(max_seconds=0.0)
 
 
 class TestUniformResultFields:
     @pytest.mark.parametrize("algorithm", ["es", "hs", "greedy", "sa"])
     def test_every_algorithm_populates_the_same_fields(self, algorithm):
         result = optimize(fig1_workflow().workflow, algorithm=algorithm)
-        assert result.visited == result.visited_states > 0
-        assert result.elapsed == result.elapsed_seconds >= 0.0
+        assert result.visited_states > 0
+        assert result.elapsed_seconds >= 0.0
+        assert not hasattr(result, "visited")
+        assert not hasattr(result, "elapsed")
         assert result.completed is True
         assert result.jobs == 1
         assert result.cache_hits == 0

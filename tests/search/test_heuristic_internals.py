@@ -90,4 +90,5 @@ class TestConfig:
         assert config.group_cap > 0
         assert config.phase_state_cap > 0
         assert config.phase_iv_cap > 0
-        assert config.max_seconds is None
+        # The wall-clock budget lives on SearchBudget alone.
+        assert not hasattr(config, "max_seconds")

@@ -3,12 +3,14 @@
 The bugfix contract: :class:`LineageStep` carries its bound node ids
 structurally as ``(mnemonic, targets)``, so :func:`replay_lineage`
 rebinds transitions exactly even when ids contain the description
-syntax's own delimiters (``,``/``(``/``)``).  String parsing survives
-only as the legacy fallback for pre-structured payloads — and misparses
-hostile ids loudly, never silently.
+syntax's own delimiters (``,``/``(``/``)``).  Replay never parses the
+description: a raw string, or a step without ``targets``, is rejected
+with an error naming the step.
 """
 
 from __future__ import annotations
+
+import re
 
 import pytest
 
@@ -93,19 +95,21 @@ class TestStructuredReplay:
         assert replay.signature == state.signature
 
 
-class TestLegacyFallback:
-    def test_raw_strings_still_replay_for_clean_ids(self):
+class TestUnstructuredRejected:
+    def test_raw_string_rejected(self):
         initial, state = _swap_state(_filter_chain("5", "6"))
         raw = [step.transition for step in state.lineage]
-        replay = replay_lineage(initial.workflow, raw)
-        assert replay.signature == state.signature
+        assert raw == ["SWA(5,6)"]
+        with pytest.raises(ReproError, match=r"SWA\(5,6\)"):
+            replay_lineage(initial.workflow, raw)
 
-    def test_raw_strings_misparse_hostile_ids_loudly(self):
-        # The documented limitation of the legacy parser: delimiters in
-        # ids shred the argument list -> ReproError, not silent rebinding.
+    def test_dict_without_targets_rejected(self):
         initial, state = _swap_state(
             _filter_chain(HOSTILE_FIRST, HOSTILE_SECOND)
         )
-        raw = [step.transition for step in state.lineage]
-        with pytest.raises(ReproError):
-            replay_lineage(initial.workflow, raw)
+        dicts = [step.to_dict() for step in state.lineage]
+        for dict_step in dicts:
+            del dict_step["targets"]
+        named = re.escape(dicts[0]["transition"])
+        with pytest.raises(ReproError, match=named):
+            replay_lineage(initial.workflow, dicts)
